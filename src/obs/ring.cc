@@ -54,12 +54,23 @@ void TraceRing::Push(const TraceSpan& span) {
   Slot& slot = slots_[ticket % capacity_];
   // Seqlock write: negative seq marks the slot mid-write so a concurrent
   // Snapshot skips it; the final release store publishes ticket+1 (>0).
+  // Writers whose tickets wrap onto one slot race for it, so the busy
+  // marker is claimed with a CAS and only one writer is ever inside. A
+  // writer that finds the slot mid-write, or already holding a newer span,
+  // drops its own span: interleaving its stores with another writer's
+  // would leave a torn record under a published seq that Snapshot accepts,
+  // and waiting would block the hot path. Spans are lost only when writers
+  // lap the whole ring within one write, when it is shedding spans anyway.
+  int64_t seen = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if (seen < 0 || seen > ticket) return;
+  } while (!slot.seq.compare_exchange_weak(seen, -(ticket + 1),
+                                           std::memory_order_relaxed));
   // The release fence keeps the payload stores from becoming visible before
-  // the busy marker (a release store on the marker would not order the
-  // LATER stores, so a fence is the only correct spelling here) — without
-  // it a reader on a weakly-ordered machine can observe new payload under
-  // the old seq on both reads of its validation pair and accept torn data.
-  slot.seq.store(-(ticket + 1), std::memory_order_relaxed);
+  // the busy marker (a release RMW on the marker would not order the LATER
+  // stores, so a fence is the only correct spelling here) — without it a
+  // reader on a weakly-ordered machine can observe new payload under the
+  // old seq on both reads of its validation pair and accept torn data.
   FenceRelease();
   slot.request_id.store(span.request_id, std::memory_order_relaxed);
   slot.name.store(span.name, std::memory_order_relaxed);

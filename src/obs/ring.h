@@ -57,8 +57,10 @@ class TraceRing {
   TraceRing(const TraceRing&) = delete;
   TraceRing& operator=(const TraceRing&) = delete;
 
-  // Hot path: one relaxed ticket fetch_add + field stores + release publish.
-  // Never blocks, never allocates; overwrites the oldest slot when full.
+  // Hot path: one relaxed ticket fetch_add, a CAS claiming the slot, field
+  // stores + release publish. Never blocks, never allocates; overwrites the
+  // oldest slot when full. A span whose slot another writer holds, or that
+  // already holds a newer span, is dropped (still counted by pushed()).
   void Push(const TraceSpan& span);
 
   // 1-in-N sampling decision for a request id; 0 disables sampling.

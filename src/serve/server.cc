@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -48,6 +49,12 @@ StatusOr<Tensor> ParseWindowLine(const std::string& line, int64_t channels,
     const float value = std::strtof(cursor, &next);
     if (next == cursor) {
       return Status::InvalidArgument("unparseable value at offset " +
+                                     std::to_string(cursor - line.c_str()));
+    }
+    // strtof accepts "nan", "inf" and overflowing literals such as "1e999"
+    // (-> inf); reject them here so they never reach a batch.
+    if (!std::isfinite(value)) {
+      return Status::InvalidArgument("non-finite value at offset " +
                                      std::to_string(cursor - line.c_str()));
     }
     rows.back().push_back(value);

@@ -78,7 +78,8 @@ class ServerLoop {
 //
 // ParseWindowLine: "1,2,3;4,5,6" -> [2, 3] tensor. Every channel must have
 // the same number of values and match the expected [channels, length] if
-// those are positive.
+// those are positive. Non-finite values ("nan", "inf", overflowing literals
+// like "1e999") are rejected with kInvalidArgument.
 StatusOr<Tensor> ParseWindowLine(const std::string& line, int64_t channels,
                                  int64_t length);
 

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "runtime/parallel.h"
+#include "tensor/gelu.h"
 #include "tensor/kernels.h"
 #include "tensor/pool.h"
 
@@ -45,21 +46,13 @@ void PackA(const float* a, int64_t lda, int64_t mc, int64_t kc, float* packed) {
   }
 }
 
-// One C row of the register tile (kNr floats). Explicit GCC vector type:
-// the scalar x vector broadcast-FMA form below compiles to one fused
-// multiply-add per row per k step, where plain nested loops tempt the
-// auto-vectorizer into cross-row permute shuffles that run ~2x slower.
-// aligned(4) permits unaligned loads; may_alias makes the float* punning
-// well-defined.
-typedef float V8
-    __attribute__((vector_size(kNr * sizeof(float)), aligned(4), may_alias));
-
-// Loads/stores go through pointer casts rather than helpers that take or
-// return V8 by value: without AVX (sanitizer legs build with
-// -DMSD_NATIVE_ARCH=OFF) a 32-byte vector in a function signature trips
-// -Werror=psabi, while pointers to vector types have a stable ABI.
-const V8* AsV8(const float* p) { return reinterpret_cast<const V8*>(p); }
-V8* AsV8(float* p) { return reinterpret_cast<V8*>(p); }
+// One C row of the register tile (kNr floats) is one kernel::V8. Explicit
+// GCC vector type: the scalar x vector broadcast-FMA form below compiles to
+// one fused multiply-add per row per k step, where plain nested loops tempt
+// the auto-vectorizer into cross-row permute shuffles that run ~2x slower.
+using kernel::AsV8;
+using kernel::V8;
+static_assert(sizeof(V8) == kNr * sizeof(float), "one V8 per tile row");
 
 // 8x8 micro-kernel: C_tile (+)= Ap @ Bp over a kc-deep slice. `first` means
 // this is the k=0 slice, so the accumulator starts at zero and C (which may
@@ -129,9 +122,11 @@ float* APackScratch(int64_t floats) {
 
 // Bias add + activation over `rows` finished C rows, applied while the tile
 // is cache-hot. Formulas are byte-for-byte those of tensor_ops.cc's Relu /
-// Gelu / Sigmoid / Tanh kernels. `pre` (optional) receives the post-bias
-// pre-activation values. Public (gemm.h) so the quantized kernel's dequant
-// output runs through the very same expressions.
+// Gelu / Sigmoid / Tanh kernels; gelu is gelu::Forward itself, the
+// vectorized rational-erf form (|error| <= 1e-6 against the exact erf
+// GELU, gelu.h). `pre` (optional) receives the post-bias pre-activation
+// values. Public (gemm.h) so the quantized kernel's dequant output runs
+// through the very same expressions.
 void EpilogueBiasAct(float* c, float* pre, int64_t rows, int64_t n,
                      const float* bias, Activation act) {
   for (int64_t r = 0; r < rows; ++r) {
@@ -152,10 +147,7 @@ void EpilogueBiasAct(float* c, float* pre, int64_t rows, int64_t n,
         }
         break;
       case Activation::kGelu:
-        for (int64_t j = 0; j < n; ++j) {
-          const float x = row[j];
-          row[j] = 0.5f * x * (1.0f + std::erf(x * 0.70710678118654752f));
-        }
+        gelu::Forward(row, row, n);
         break;
       case Activation::kTanh:
         for (int64_t j = 0; j < n; ++j) row[j] = std::tanh(row[j]);

@@ -83,6 +83,18 @@ inline void DebugCheckIntoAlias(const Tensor& out, const Tensor& in,
 
 #endif  // MSD_DEBUG_CHECKS_ENABLED
 
+// Eight fp32 lanes as a GCC vector type: one AVX register under
+// -march=native, two SSE registers (or scalar code) otherwise. aligned(4)
+// permits unaligned loads; may_alias makes the float* punning well-defined.
+// Loads/stores go through pointer casts, and helpers take vectors by
+// pointer, never by value: without AVX (sanitizer legs build with
+// -DMSD_NATIVE_ARCH=OFF) a 32-byte vector in a function signature trips
+// -Werror=psabi, while pointers to vector types have a stable ABI.
+typedef float V8 __attribute__((vector_size(8 * sizeof(float)), aligned(4),
+                                may_alias));
+inline const V8* AsV8(const float* p) { return reinterpret_cast<const V8*>(p); }
+inline V8* AsV8(float* p) { return reinterpret_cast<V8*>(p); }
+
 // Minimum elements per chunk for elementwise kernels: small enough to spread
 // mixer-sized tensors across the pool, large enough that chunk dispatch is
 // noise next to the loop body. Chunk *boundaries* derive from these grains
@@ -149,11 +161,13 @@ inline int64_t UnflattenOffset(int64_t i, const Shape& shape,
   return off;
 }
 
-// MapKernelInto: elementwise unary op into a caller-owned output (same
-// shape). The allocating MapKernel below delegates here, so the interpreted
-// and planned paths execute the same loop — bit-identity by construction.
-template <typename F>
-void MapKernelInto(const Tensor& a, Tensor& out, F f) {
+// MapSpanKernelInto: elementwise unary op into a caller-owned output (same
+// shape), handed whole chunks: span(in, out, count) maps in[0, count) to
+// out[0, count). For span kernels whose per-element bits do not depend on
+// the element's position in the span (gelu.h), so the fixed chunking is
+// invisible in the output.
+template <typename S>
+void MapSpanKernelInto(const Tensor& a, Tensor& out, S span) {
   MSD_CHECK(a.defined());
   MSD_CHECK(out.defined());
   MSD_DEBUG_VALIDATE_TENSOR(a, "MapKernel");
@@ -165,8 +179,18 @@ void MapKernelInto(const Tensor& a, Tensor& out, F f) {
   float* po = out.data();
   runtime::ParallelFor(0, a.numel(), kElementwiseGrain,
                        [&](int64_t cb, int64_t ce) {
-                         for (int64_t i = cb; i < ce; ++i) po[i] = f(pa[i]);
+                         span(pa + cb, po + cb, ce - cb);
                        });
+}
+
+// MapKernelInto: per-element form of MapSpanKernelInto. The allocating
+// MapKernel below delegates here, so the interpreted and planned paths
+// execute the same loop — bit-identity by construction.
+template <typename F>
+void MapKernelInto(const Tensor& a, Tensor& out, F f) {
+  MapSpanKernelInto(a, out, [&f](const float* in, float* o, int64_t count) {
+    for (int64_t i = 0; i < count; ++i) o[i] = f(in[i]);
+  });
 }
 
 // MapKernel: elementwise unary op, parallel over fixed chunks.

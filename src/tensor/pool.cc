@@ -1,5 +1,9 @@
 #include "tensor/pool.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -169,13 +173,26 @@ void Pool::Release(float* block, int64_t capacity, int cls) {
 }
 
 void Pool::Trim() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int cls = 0; cls < kNumClasses; ++cls) {
-    for (float* block : free_lists_[cls]) RawFree(block, ClassCapacity(cls));
-    free_lists_[cls].clear();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int cls = 0; cls < kNumClasses; ++cls) {
+      for (float* block : free_lists_[cls]) RawFree(block, ClassCapacity(cls));
+      free_lists_[cls].clear();
+    }
+    bytes_cached_ = 0;
+    UpdateCachedGauge(0);
   }
-  bytes_cached_ = 0;
-  UpdateCachedGauge(0);
+#if defined(__GLIBC__)
+  // free() alone does not return these blocks to the OS after the first
+  // trim: freeing an mmap-served block raises glibc's dynamic mmap
+  // threshold, so the next scope's large blocks come from the heap and
+  // stay resident once freed. Each later scope then starts on top of the
+  // previous one's fragments and peak RSS climbs with the number of scopes
+  // (~+22 MB on the third paper-scale tasks::Train of one process).
+  // malloc_trim hands every free heap page back, so each scope starts from
+  // the same resident set.
+  malloc_trim(0);
+#endif
 }
 
 PoolStats Pool::GetStats() const {

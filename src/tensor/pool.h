@@ -10,9 +10,11 @@
 // Semantics:
 //  * Recycled blocks are NOT zeroed. Tensor's zero-initializing constructor
 //    fills explicitly; Tensor::Uninitialized keeps its overwrite contract.
-//  * The cache is trimmed (released to the OS) when the outermost
-//    MemoryScope exits, and capped at MSD_POOL_CAP_MB (default 512) —
-//    returning a block that would exceed the cap frees it instead.
+//  * The cache is trimmed (released to the OS, with glibc's malloc_trim so
+//    freed heap pages really go back) when the outermost MemoryScope exits,
+//    and capped at MSD_POOL_CAP_MB (default 512) — returning a block that
+//    would exceed the cap frees it instead. Repeated scopes in one process
+//    therefore peak at the same RSS.
 //  * MSD_DISABLE_POOL=1 (or SetEnabled(false)) bypasses caching: every
 //    allocation is fresh and every free is immediate. Numerics are
 //    identical either way — the pool only changes where bytes live.

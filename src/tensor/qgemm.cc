@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/check.h"
+#include "common/debug.h"
 #include "runtime/parallel.h"
 #include "tensor/kernels.h"
 
@@ -35,9 +37,12 @@ int64_t KQuads(int64_t k) { return std::max<int64_t>(CeilDiv(k, kKq), 1); }
 // Round-to-nearest-even int8 quantization of one value against `inv_scale`
 // (127 / absmax). nearbyintf under the ambient FE_TONEAREST mode rounds
 // exactly like the AVX2 path's cvtps2dq, and clamping at the float stage
-// commutes with rounding because the bounds are integers.
+// commutes with rounding because the bounds are integers. A NaN product
+// (a NaN value, or an infinite one against the zero inv_scale of an
+// infinite absmax) quantizes to 0, as in the AVX2 path.
 int32_t QuantValue(float v, float inv_scale) {
   const float r = std::nearbyintf(v * inv_scale);
+  if (std::isnan(r)) return 0;
   const float clamped = std::min(127.0f, std::max(-127.0f, r));
   return static_cast<int32_t>(clamped);
 }
@@ -110,8 +115,10 @@ void QuantizeActivationsPerRow(const float* a, int64_t m, int64_t k,
         const __m256 sign_mask = _mm256_set1_ps(-0.0f);
         __m256 vmax = _mm256_setzero_ps();
         for (; kk + 8 <= k; kk += 8) {
+          // maxps returns its second operand when either is NaN: NaN lanes
+          // leave the running max untouched, like the scalar std::max fold.
           vmax = _mm256_max_ps(
-              vmax, _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(src + kk)));
+              _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(src + kk)), vmax);
         }
         // In-register horizontal max (max is associative/commutative over
         // absolute values, so this equals the scalar fold).
@@ -132,11 +139,16 @@ void QuantizeActivationsPerRow(const float* a, int64_t m, int64_t k,
           const __m256 vinv = _mm256_set1_ps(inv);
           const __m256 vhi = _mm256_set1_ps(127.0f);
           const __m256 vlo = _mm256_set1_ps(-127.0f);
+          // Scale, zero NaN lanes (QuantValue's rule), clamp.
+          const auto scale = [&](const float* p) {
+            const __m256 x = _mm256_mul_ps(_mm256_loadu_ps(p), vinv);
+            const __m256 ordered = _mm256_cmp_ps(x, x, _CMP_ORD_Q);
+            return _mm256_max_ps(
+                vlo, _mm256_min_ps(vhi, _mm256_and_ps(x, ordered)));
+          };
           for (; kk + 16 <= k; kk += 16) {
-            __m256 x0 = _mm256_mul_ps(_mm256_loadu_ps(src + kk), vinv);
-            __m256 x1 = _mm256_mul_ps(_mm256_loadu_ps(src + kk + 8), vinv);
-            x0 = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x0));
-            x1 = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x1));
+            const __m256 x0 = scale(src + kk);
+            const __m256 x1 = scale(src + kk + 8);
             // cvtps2dq rounds per the ambient MXCSR mode (nearest-even),
             // matching QuantValue's nearbyintf; clamping before the convert
             // commutes with rounding on the integer bounds.
@@ -149,9 +161,7 @@ void QuantizeActivationsPerRow(const float* a, int64_t m, int64_t k,
             _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + kk), packed);
           }
           for (; kk + 8 <= k; kk += 8) {
-            __m256 x = _mm256_mul_ps(_mm256_loadu_ps(src + kk), vinv);
-            x = _mm256_max_ps(vlo, _mm256_min_ps(vhi, x));
-            const __m256i q = _mm256_cvtps_epi32(x);
+            const __m256i q = _mm256_cvtps_epi32(scale(src + kk));
             const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(q),
                                               _mm256_extracti128_si256(q, 1));
             _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + kk), w);
@@ -165,96 +175,16 @@ void QuantizeActivationsPerRow(const float* a, int64_t m, int64_t k,
         for (kk = 0; kk < k; ++kk) dst[kk] = 0;
       }
       for (kk = k; kk < stride; ++kk) dst[kk] = 0;
+      MSD_DEBUG_ONLY(for (kk = 0; kk < k; ++kk) {
+        MSD_CHECK_LE(std::abs(static_cast<int32_t>(dst[kk])), 127)
+            << "quantized activation out of int8 range at row " << i
+            << ", column " << kk;
+      });
     }
   });
 }
 
 namespace {
-
-#if defined(__AVX2__)
-
-// e^z for eight lanes, z <= 0 (clamped to -87 where e^z underflows to 0
-// anyway): exp2 range reduction with a degree-6 polynomial on the
-// fractional part, relative error ~1e-7.
-inline __m256 Exp8NonPos(__m256 z) {
-  z = _mm256_max_ps(z, _mm256_set1_ps(-87.0f));
-  const __m256 t = _mm256_mul_ps(z, _mm256_set1_ps(1.44269504088896341f));
-  const __m256 r =
-      _mm256_round_ps(t, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  const __m256 f = _mm256_sub_ps(t, r);
-  __m256 p = _mm256_set1_ps(1.54035303933816e-4f);
-  p = _mm256_add_ps(_mm256_mul_ps(p, f), _mm256_set1_ps(1.33335581464284e-3f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, f), _mm256_set1_ps(9.61812910762848e-3f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, f), _mm256_set1_ps(5.55041086648216e-2f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, f), _mm256_set1_ps(2.40226506959101e-1f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, f), _mm256_set1_ps(6.93147180559945e-1f));
-  p = _mm256_add_ps(_mm256_mul_ps(p, f), _mm256_set1_ps(1.0f));
-  // Scale by 2^r via exponent-field arithmetic; r >= -126 after the clamp.
-  const __m256i e = _mm256_slli_epi32(
-      _mm256_add_epi32(_mm256_cvtps_epi32(r), _mm256_set1_epi32(127)), 23);
-  return _mm256_mul_ps(p, _mm256_castsi256_ps(e));
-}
-
-// Vectorized gelu for the quantized epilogue: the tanh form
-// 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))) with tanh evaluated via
-// Exp8NonPos on -2|y|. Absolute error vs the exact erf gelu is ~3e-4 — an
-// order of magnitude below the int8 quantization noise — where the scalar
-// std::erf epilogue costs ~65 cycles per element and would otherwise
-// dominate every gelu layer, erasing the int8 win (docs/PERFORMANCE.md).
-// Only the quantized path uses it; the fp32 kernels keep the exact formula
-// and their fp32 bit-identity contract.
-inline __m256 Gelu8(__m256 x) {
-  const __m256 sign_mask = _mm256_set1_ps(-0.0f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  const __m256 x2 = _mm256_mul_ps(x, x);
-  // sqrt(2/pi) * (x + 0.044715 x^3) = x * (c0 + c1 * x^2).
-  const __m256 inner = _mm256_mul_ps(
-      x, _mm256_add_ps(_mm256_set1_ps(0.797884560802865f),
-                       _mm256_mul_ps(_mm256_set1_ps(0.0356774081363f), x2)));
-  const __m256 ay = _mm256_andnot_ps(sign_mask, inner);
-  const __m256 sign = _mm256_and_ps(sign_mask, inner);
-  const __m256 t = Exp8NonPos(_mm256_mul_ps(ay, _mm256_set1_ps(-2.0f)));
-  // tanh(|y|) = (1 - e^-2|y|) / (1 + e^-2|y|), then restore the sign.
-  const __m256 th = _mm256_or_ps(
-      _mm256_div_ps(_mm256_sub_ps(one, t), _mm256_add_ps(one, t)), sign);
-  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
-                       _mm256_add_ps(one, th));
-}
-
-#endif  // __AVX2__
-
-// Bias + activation for the quantized path. Gelu takes the vectorized
-// approximation above (deterministic: one fixed expression per element,
-// tail columns go through the same vector code via a padded buffer); every
-// other activation shares gemm::EpilogueBiasAct verbatim.
-void QuantEpilogue(float* c, int64_t rows, int64_t n, const float* bias,
-                   gemm::Activation act) {
-#if defined(__AVX2__)
-  if (act == gemm::Activation::kGelu) {
-    for (int64_t r = 0; r < rows; ++r) {
-      float* row = c + r * n;
-      int64_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        __m256 v = _mm256_loadu_ps(row + j);
-        if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias + j));
-        _mm256_storeu_ps(row + j, Gelu8(v));
-      }
-      if (j < n) {
-        float buf[8] = {0.0f};
-        float bbuf[8] = {0.0f};
-        const int64_t rem = n - j;
-        std::memcpy(buf, row + j, rem * sizeof(float));
-        if (bias != nullptr) std::memcpy(bbuf, bias + j, rem * sizeof(float));
-        __m256 v = _mm256_add_ps(_mm256_loadu_ps(buf), _mm256_loadu_ps(bbuf));
-        _mm256_storeu_ps(buf, Gelu8(v));
-        std::memcpy(row + j, buf, rem * sizeof(float));
-      }
-    }
-    return;
-  }
-#endif
-  gemm::EpilogueBiasAct(c, nullptr, rows, n, bias, act);
-}
 
 // kQr x kNr register micro-kernel over the full k extent: for each quad the
 // packed B half-panels sign-extend to two vpmaddwd operands and each row
@@ -379,7 +309,7 @@ void QGemmPrepacked(const int16_t* a_q, const float* a_scales,
         }
       }
       if (bias != nullptr || act != gemm::Activation::kIdentity) {
-        QuantEpilogue(c + i0 * n, mc, n, bias, act);
+        gemm::EpilogueBiasAct(c + i0 * n, nullptr, mc, n, bias, act);
       }
     }
   });

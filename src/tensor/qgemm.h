@@ -12,10 +12,10 @@
 // registers; a fused dequant epilogue (acc * a_scale[m] * b_scale[n]) writes
 // fp32 straight into C, and bias + activation run while the row tile is
 // cache-hot — no int32 intermediate ever round-trips memory. The quantized
-// epilogue shares gemm::EpilogueBiasAct except for gelu, where it uses a
-// vectorized tanh-form approximation (~3e-4 absolute error, an order of
-// magnitude below the int8 quantization noise) instead of the scalar
-// std::erf that would otherwise dominate every gelu layer.
+// epilogue is gemm::EpilogueBiasAct itself, gelu included (the shared
+// vectorized rational-erf GELU of tensor/gelu.h, within 1e-6 of the exact
+// erf form), so an int8 layer differs from its fp32 twin only by the
+// integer arithmetic.
 //
 // Determinism contract (docs/RUNTIME.md): integer accumulation is exact, so
 // blocking and thread count cannot change a single bit; the dequant and
@@ -64,8 +64,9 @@ void QuantizeWeightsPerChannel(const float* b, int64_t k, int64_t n,
 // Per-row dynamic activation quantization: scale[i] = absmax of row i / 127,
 // values round-to-nearest-even (the ambient FE_TONEAREST mode), saturated to
 // [-127, 127], stored as int16 with rows of QuantARowInt16s(k) (pad is
-// zero). An all-zero row gets scale 0. Deterministic per row for any thread
-// count.
+// zero). An all-zero row gets scale 0. NaN values are left out of the
+// absmax and quantize to 0, identically in the AVX2 and scalar paths.
+// Deterministic per row for any thread count.
 void QuantizeActivationsPerRow(const float* a, int64_t m, int64_t k,
                                int16_t* a_q, float* a_scales);
 

@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "runtime/parallel.h"
+#include "tensor/gelu.h"
 #include "tensor/kernels.h"
 #include "tensor/optrace.h"
 
@@ -19,6 +20,7 @@ using kernel::BroadcastStrides;
 using kernel::GrainForWork;
 using kernel::MapKernel;
 using kernel::MapKernelInto;
+using kernel::MapSpanKernelInto;
 using kernel::ReduceKernel;
 using kernel::ZipKernel;
 using kernel::ZipKernelInto;
@@ -206,11 +208,10 @@ void SquareInto(const Tensor& a, Tensor& out) {
 void ReluInto(const Tensor& a, Tensor& out) {
   MapKernelInto(a, out, [](float x) { return x > 0.0f ? x : 0.0f; });
 }
-// msd-hot-path-safe: same contract as AddInto.
+// msd-hot-path-safe: same contract as AddInto; the span kernel is the
+// fused epilogue's own gelu::Forward, so fused == standalone bytewise.
 void GeluInto(const Tensor& a, Tensor& out) {
-  MapKernelInto(a, out, [](float x) {
-    return 0.5f * x * (1.0f + std::erf(x * 0.70710678118654752f));
-  });
+  MapSpanKernelInto(a, out, gelu::Forward);
 }
 // msd-hot-path-safe: same contract as AddInto.
 void SigmoidInto(const Tensor& a, Tensor& out) {
@@ -365,12 +366,10 @@ Tensor Sign(const Tensor& a) {
 }
 Tensor GeluGrad(const Tensor& a) {
   if (optrace::Active()) optrace::RecordUnsupported("GeluGrad");
-  return MapKernel(a, [](float x) {
-    const float phi_big = 0.5f * (1.0f + std::erf(x * 0.70710678118654752f));
-    const float phi_small =
-        std::exp(-0.5f * x * x) * 0.39894228040143267f;  // 1/sqrt(2*pi)
-    return phi_big + x * phi_small;
-  });
+  MSD_CHECK(a.defined());
+  Tensor out = Tensor::Uninitialized(a.shape());
+  MapSpanKernelInto(a, out, gelu::Derivative);
+  return out;
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {

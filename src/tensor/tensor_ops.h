@@ -49,14 +49,17 @@ Tensor Sqrt(const Tensor& a);
 Tensor Abs(const Tensor& a);
 Tensor Square(const Tensor& a);
 Tensor Relu(const Tensor& a);
-// Exact GELU: 0.5 * x * (1 + erf(x / sqrt(2))).
+// GELU: 0.5 * x * (1 + erf(x / sqrt(2))), erf by the vectorized rational
+// approximation of tensor/gelu.h (within 1e-6 absolute of the exact form).
+// Byte-identical to the fused MatMulEx(kGelu) epilogue.
 Tensor Gelu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Clamp(const Tensor& a, float lo, float hi);
 // -1, 0, or +1 per element.
 Tensor Sign(const Tensor& a);
-// Derivative of exact GELU: Phi(x) + x * phi(x).
+// GELU derivative Phi(x) + x * phi(x), by tensor/gelu.h (within 1e-6
+// absolute of the exact form).
 Tensor GeluGrad(const Tensor& a);
 
 // ---- Matrix multiplication -------------------------------------------------

@@ -528,6 +528,44 @@ TEST(ModelServiceTest, ModelPrefixRoutingListAndErrors) {
   EXPECT_EQ(bad_target.rfind("ERROR NotFound", 0), 0u) << bad_target;
 }
 
+TEST(ModelServiceTest, PoisonedLineIsRejectedAndCoBatchedReplyUnchanged) {
+  serve::ModelRegistry registry(FastBatcher());
+  ASSERT_TRUE(registry.Add(MakeServed("alpha", 1, 11)).ok());
+  registry.set_default_model("alpha");
+  serve::ModelService service(&registry);
+  const std::string good = serve::FormatTensorLine(RandomWindow(910));
+  const std::string solo = service.HandleLine("MODEL alpha " + good);
+  ASSERT_NE(solo.rfind("ERROR", 0), 0u) << solo;
+  std::string poisoned = serve::FormatTensorLine(RandomWindow(911));
+  poisoned.replace(0, poisoned.find(','), "nan");
+
+  // Good and poisoned lines interleaved inside one batching window (500 us):
+  // admitted, the NaN row would share every batched GEMM with the good rows.
+  constexpr int kPairs = 3;
+  std::vector<std::promise<std::string>> good_replies(kPairs);
+  std::vector<std::string> poisoned_replies(kPairs);
+  for (int i = 0; i < kPairs; ++i) {
+    service.HandleLineAsync("MODEL alpha " + good,
+                            [&good_replies, i](std::string reply) {
+                              good_replies[static_cast<size_t>(i)].set_value(
+                                  std::move(reply));
+                            });
+    service.HandleLineAsync("MODEL alpha " + poisoned,
+                            [&poisoned_replies, i](std::string reply) {
+                              poisoned_replies[static_cast<size_t>(i)] =
+                                  std::move(reply);
+                            });
+  }
+  for (int i = 0; i < kPairs; ++i) {
+    // Rejected inline at parse time, before admission.
+    EXPECT_EQ(poisoned_replies[static_cast<size_t>(i)].rfind(
+                  "ERROR InvalidArgument", 0),
+              0u)
+        << poisoned_replies[static_cast<size_t>(i)];
+    EXPECT_EQ(good_replies[static_cast<size_t>(i)].get_future().get(), solo);
+  }
+}
+
 TEST(ModelServiceTest, HandleLineAsyncAnswersExactlyOnce) {
   serve::ModelRegistry registry(FastBatcher());
   ASSERT_TRUE(registry.Add(MakeServed("alpha", 1, 11)).ok());

@@ -336,6 +336,9 @@ TEST(ServerLoopTest, TextProtocolRoundTrip) {
 
   EXPECT_EQ(server.HandleLine("1,2,bogus").rfind("ERROR", 0), 0u);
   EXPECT_EQ(server.HandleLine("1,2;3").rfind("ERROR", 0), 0u);  // ragged
+  std::string poisoned = serve::FormatTensorLine(window);
+  poisoned.replace(0, poisoned.find(','), "nan");
+  EXPECT_EQ(server.HandleLine(poisoned).rfind("ERROR InvalidArgument", 0), 0u);
   EXPECT_EQ(server.HandleLine("").rfind("ERROR", 0), 0u);
   server.Stop();
 }
@@ -349,6 +352,17 @@ TEST(ServerLoopTest, ParseAndFormatAreInverses) {
   auto reparsed = serve::ParseWindowLine(rendered, 2, 3);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_TRUE(BitIdentical(parsed.value(), reparsed.value()));
+}
+
+TEST(ServerLoopTest, NonFiniteValuesAreRejectedAtIngress) {
+  for (const char* bad : {"1,nan,3;4,5,6", "1,2,3;inf,5,6", "1,2,-inf;4,5,6",
+                          "1,2,3;4,1e999,6", "NAN,2,3;4,5,6"}) {
+    auto parsed = serve::ParseWindowLine(bad, 0, 0);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  // Tiny literals underflow to finite values and stay accepted.
+  EXPECT_TRUE(serve::ParseWindowLine("1e-999,2,3", 0, 0).ok());
 }
 
 std::string ReadWholeFile(const std::string& path) {

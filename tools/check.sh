@@ -55,7 +55,9 @@
 #   --leg      run only the named leg(s); default is all five.
 #   --jobs N   parallel build/test jobs (default: nproc).
 #   --bench-baseline FILE
-#              after the release leg, re-run the kernel benches in
+#              after the release leg, re-run the kernel benches and the
+#              three whole-model benches (BM_MixerInference,
+#              BM_MixerTrainStep, BM_TrainerEpoch) on a 1-thread pool in
 #              google-benchmark JSON form — 7 repetitions, compared by
 #              median — and gate them against FILE with tools/bench_compare
 #              (>10% cpu_time growth on any common benchmark fails the
@@ -338,23 +340,27 @@ for leg in "${LEGS[@]}"; do
       fi
       if [[ "${STATUS[release]}" == "PASS" && -n "${BENCH_BASELINE}" ]]; then
         # Perf gate: the kernel benches (GEMM family, fused epilogues, rfft)
-        # against the committed baseline; >10% median cpu_time growth fails.
-        # 7 repetitions, medians compared, so a burst of descheduled
-        # repetitions cannot fake (or mask) a regression; bench_compare also
-        # refuses either file if its context is not stamped
-        # msd_build_type=release. Thread-scaling variants above the
-        # machine's core count are excluded: with more threads than cores
-        # their runtime is the scheduler's time-slicing pattern, not kernel
-        # code, and on a 1-core box BM_*Threads/4 swings 15%+ between
-        # identical runs.
+        # plus the whole-model benches (planned-free inference forward, one
+        # train step, one trainer epoch) against the committed baseline;
+        # >10% median cpu_time growth fails. The run uses a 1-thread global
+        # pool (--threads 1), so cpu_time is the whole work of every bench
+        # that does not pin its own pool size (BM_*Threads/N do) rather than
+        # the calling thread's share of it. 7 repetitions, medians compared,
+        # so a burst of descheduled repetitions cannot fake (or mask) a
+        # regression; bench_compare also refuses either file if its context
+        # is not stamped msd_build_type=release. Thread-scaling variants
+        # above the machine's core count are excluded: with more threads
+        # than cores their runtime is the scheduler's time-slicing pattern,
+        # not kernel code, and on a 1-core box BM_*Threads/4 swings 15%+
+        # between identical runs.
         note "leg release: bench_compare vs ${BENCH_BASELINE}"
         cores="$(nproc)"
         if   (( cores >= 4 )); then tsuf='/(1|2|4)'
         elif (( cores >= 2 )); then tsuf='/(1|2)'
         else                        tsuf='/1'; fi
-        kernel_filter="BM_MatMul2D|BM_BatchedMatMul|BM_Fft|BM_Rfft/|(BM_GemmChannelMixThreads|BM_GemmHeadThreads|BM_GemmPatchEmbedThreads|BM_RfftThreads)${tsuf}\$"
+        kernel_filter="BM_MatMul2D|BM_BatchedMatMul|BM_Fft|BM_Rfft/|BM_MixerInference|BM_MixerTrainStep|BM_TrainerEpoch|(BM_GemmChannelMixThreads|BM_GemmHeadThreads|BM_GemmPatchEmbedThreads|BM_RfftThreads)${tsuf}\$"
         current="${CHECK_DIR}/release/BENCH_current.json"
-        if "${CHECK_DIR}/release/bench/bench_micro_kernels" \
+        if "${CHECK_DIR}/release/bench/bench_micro_kernels" --threads 1 \
               --benchmark_filter="${kernel_filter}" \
               --benchmark_min_time=0.05 --benchmark_repetitions=7 \
               --benchmark_out="${current}" --benchmark_out_format=json &&
