@@ -1,8 +1,9 @@
 // Closed-loop load test for the serving subsystem (docs/SERVING.md).
 //
 // Builds a small random-init MSD-Mixer, snapshots it to a checkpoint,
-// restores it into a frozen serve::InferenceSession, and hammers a
-// ServerLoop from N client threads until --requests requests have
+// restores it into a frozen serve::InferenceSession behind a
+// serve::ServedModel, and hammers it (ServedModel::Handle) from N client
+// threads until --requests requests have
 // completed. Reports throughput and p50/p95/p99 end-to-end latency twice —
 // from the clients' own clocks AND from the server-side serve/e2e_us
 // histogram (Histogram::ValueAtQuantile) — and cross-checks that the two
@@ -78,8 +79,8 @@
 #include "obs/ring.h"
 #include "runtime/worker.h"
 #include "serve/netio.h"
+#include "serve/protocol.h"
 #include "serve/registry.h"
-#include "serve/server.h"
 #include "serve/trace.h"
 #include "tasks/pipeline.h"
 #include "tensor/tensor_ops.h"
@@ -143,7 +144,7 @@ bool CheckBackpressure(serve::InferenceSession* session) {
   return true;
 }
 
-// One closed-loop load phase: `clients` threads hammer `server` with their
+// One closed-loop load phase: `clients` threads hammer `model` with their
 // per-client windows until `requests` requests complete, verifying every
 // response bit-for-bit against `expected` (the session's own direct
 // Predict). Returns the merged, sorted latency sample plus failure counts.
@@ -154,7 +155,7 @@ struct LoadResult {
   int64_t mismatches = 0;
 };
 
-LoadResult RunClosedLoop(serve::ServerLoop* server,
+LoadResult RunClosedLoop(serve::ServedModel* model,
                          const std::vector<Tensor>& windows,
                          const std::vector<Tensor>& expected,
                          int64_t requests, int64_t clients) {
@@ -171,7 +172,7 @@ LoadResult RunClosedLoop(serve::ServerLoop* server,
       const Tensor& want = expected[static_cast<size_t>(client)];
       while (issued.fetch_add(1) < requests) {
         const auto t0 = std::chrono::steady_clock::now();
-        StatusOr<Tensor> got = server->Handle(window);
+        StatusOr<Tensor> got = model->Handle(window);
         const auto t1 = std::chrono::steady_clock::now();
         if (!got.ok()) {
           // Closed-loop clients never overflow the queue; any error is a bug.
@@ -644,15 +645,18 @@ int main(int argc, char** argv) {
                  session_or.status().ToString().c_str());
     return 1;
   }
-  serve::InferenceSession* session = session_or.value().get();
-
   serve::MicroBatcherConfig bc;
   bc.max_batch = max_batch;
   bc.max_delay_us = max_delay_us;
   bc.queue_capacity = std::max<int64_t>(64, 2 * clients);
   bc.num_workers = workers;
-  serve::ServerLoop server(session, bc);
-  server.Start();
+  // ServedModel reads only the name and version (per-model metrics) and the
+  // admission quota (unlimited) from its entry.
+  serve::ManifestEntry entry;
+  entry.name = "bench";
+  entry.version = 1;
+  serve::ServedModel model(entry, std::move(session_or).value(), bc);
+  serve::InferenceSession* session = model.session();
 
   // Distinct per-client request windows, so the correctness check exercises
   // batches of mixed rows.
@@ -674,9 +678,9 @@ int main(int argc, char** argv) {
     expected.push_back(direct.value());
   }
 
-  LoadResult load = RunClosedLoop(&server, windows, expected, requests,
+  LoadResult load = RunClosedLoop(&model, windows, expected, requests,
                                   clients);
-  server.Stop();
+  model.batcher().Stop();
 
   std::vector<double>& merged = load.sorted_latencies_us;
   const double p50 = Percentile(&merged, 0.50);
@@ -786,11 +790,12 @@ int main(int argc, char** argv) {
   // Same closed loop against the int8 session; latencies land in the
   // serve/quant_* gauges so one snapshot carries both legs.
   if (quantize) {
-    serve::ServerLoop quant_server(quant_session.get(), bc);
-    quant_server.Start();
+    serve::ManifestEntry quant_entry = entry;
+    quant_entry.name = "bench_int8";
+    serve::ServedModel quant_model(quant_entry, std::move(quant_session), bc);
     std::vector<Tensor> quant_expected;
     for (const Tensor& w : windows) {
-      auto direct = quant_session->Predict(w);
+      auto direct = quant_model.session()->Predict(w);
       if (!direct.ok()) {
         std::fprintf(stderr, "quantized direct predict failed: %s\n",
                      direct.status().ToString().c_str());
@@ -798,9 +803,9 @@ int main(int argc, char** argv) {
       }
       quant_expected.push_back(direct.value());
     }
-    LoadResult quant_load = RunClosedLoop(&quant_server, windows,
+    LoadResult quant_load = RunClosedLoop(&quant_model, windows,
                                           quant_expected, requests, clients);
-    quant_server.Stop();
+    quant_model.batcher().Stop();
     std::vector<double>& qmerged = quant_load.sorted_latencies_us;
     const double qp50 = Percentile(&qmerged, 0.50);
     const double qp95 = Percentile(&qmerged, 0.95);

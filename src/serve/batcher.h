@@ -4,26 +4,26 @@
 // (runtime::WorkerGroup) coalesce pending requests into a batch when either
 // `max_batch` requests are waiting or the oldest request has waited
 // `max_delay_us`, then run one InferenceSession::PredictBatch and resolve
-// each request's future (Submit) or completion callback (SubmitAsync —
-// the path the epoll front-end in serve/netio.h uses, so no thread is
-// parked per in-flight request) with its own row.
+// each request's completion callback with its own row. SubmitAsync is the
+// one admission path (the epoll front-end in serve/netio.h parks no thread
+// per in-flight request); Submit wraps it in a future for blocking callers.
 //
 // Policies:
-//  * Admission control: Submit() on a full queue fails fast with
+//  * Admission control: a submit on a full queue fails fast with
 //    kResourceExhausted — callers get backpressure, requests are never
 //    dropped on the floor.
 //  * Timeout: a request that is still queued past its deadline resolves
 //    with kDeadlineExceeded at dequeue time (it never occupies batch space).
 //  * Cancellation: Stop() drains the queue and resolves every pending
-//    request with kCancelled before joining the workers; no future is ever
-//    left unresolved.
+//    request with kCancelled before joining the workers; no admitted
+//    request is ever left unresolved.
 //
 // This file is serving hot-path code: the repo lint rule
 // no-blocking-io-in-serve-hot-path forbids file/stdio calls anywhere in
 // src/serve so a batch cycle stays compute-only.
 //
 // Telemetry (docs/OBSERVABILITY.md taxonomy, serve/trace.h handles): every
-// request carries a TraceContext minted at Submit(), so each reply is
+// request carries a TraceContext minted at admission, so each reply is
 // decomposed into the serve/queue_us, serve/batch_assembly_us,
 // serve/compute_us and serve/e2e_us histograms; counters
 // serve/requests_total, serve/rejected_total, serve/timeouts_total,
@@ -56,7 +56,7 @@ struct MicroBatcherConfig {
   // (Clamped to the session's max_batch.)
   int64_t max_batch = 8;
   int64_t max_delay_us = 2000;
-  // Bounded queue; Submit() beyond this rejects with kResourceExhausted.
+  // Bounded queue; admission beyond this rejects with kResourceExhausted.
   int64_t queue_capacity = 64;
   // Dedicated batch-assembly threads. One is enough to saturate the GEMM
   // engine (PredictBatch fans out over the MSD_THREADS pool); a second
@@ -73,6 +73,10 @@ using ResultFuture = std::future<StatusOr<Tensor>>;
 // completions only move the formatted reply onto a wake queue.
 using ResultCallback = std::function<void(StatusOr<Tensor>)>;
 
+// A completion that fulfils a fresh future, stored in *future: how blocking
+// calls (MicroBatcher::Submit, ServedModel::Handle) wait on the async path.
+ResultCallback FutureCallback(ResultFuture* future);
+
 class MicroBatcher {
  public:
   // `session` must outlive the batcher.
@@ -82,27 +86,27 @@ class MicroBatcher {
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
-  // Spawns the worker threads. Submit() before Start() is allowed — requests
-  // queue up (subject to capacity) and are served once workers exist.
+  // Spawns the worker threads. Submitting before Start() is allowed —
+  // requests queue up (subject to capacity) and are served once workers
+  // exist.
   void Start();
 
   // Drains the queue (pending requests resolve with kCancelled), joins the
   // workers. Idempotent.
   void Stop();
 
-  // Enqueues one window ([channels, length]). On OK, *result resolves with
-  // the per-request output or an error produced later in the cycle. Non-OK
-  // return means the request was NOT admitted: kResourceExhausted when the
-  // queue is full, kCancelled after Stop(), kInvalidArgument on bad shape.
+  // Enqueues one window ([channels, length]). On OK, `done` fires exactly
+  // once with the per-request output or an error produced later in the
+  // cycle. Non-OK return means the request was NOT admitted and `done` will
+  // never fire: kResourceExhausted when the queue is full, kCancelled after
+  // Stop(), kInvalidArgument on bad shape.
   // timeout_us: <0 uses config.default_timeout_us; 0 means no deadline.
-  Status Submit(Tensor window, ResultFuture* result, int64_t timeout_us = -1);
-
-  // Callback twin of Submit, for front-ends that must not park a thread per
-  // request (the epoll loop in serve/netio.h). Same admission contract; on
-  // OK, `done` fires exactly once with the result. A non-OK return means
-  // `done` was NOT taken and will never fire.
   Status SubmitAsync(Tensor window, ResultCallback done,
                      int64_t timeout_us = -1);
+
+  // SubmitAsync for blocking callers: on OK, *result resolves with what
+  // `done` would have received. A rejected Submit leaves *result untouched.
+  Status Submit(Tensor window, ResultFuture* result, int64_t timeout_us = -1);
 
   int64_t queue_depth() const;
   const MicroBatcherConfig& config() const { return config_; }
@@ -112,9 +116,6 @@ class MicroBatcher {
 
   struct Request {
     Tensor input;
-    std::promise<StatusOr<Tensor>> promise;
-    // Non-empty for SubmitAsync requests: resolution calls this instead of
-    // fulfilling the promise.
     ResultCallback done;
     // Carries request id, sampling bit and the enqueue/dequeue/compute
     // timestamps; trace.enqueue doubles as the admission time the deadline
@@ -128,11 +129,6 @@ class MicroBatcher {
   // Resolves every member of `batch`: expired requests with
   // kDeadlineExceeded, the rest with rows of one PredictBatch call.
   void ProcessBatch(std::vector<Request> batch);
-  // Single admission path shared by Submit and SubmitAsync: validates the
-  // window, mints the trace context, derives the deadline, enqueues.
-  Status AdmitWithTimeout(Request request, int64_t timeout_us);
-  // The one place a request resolves: callback or promise, never both.
-  static void Resolve(Request* request, StatusOr<Tensor> result);
   // One request left the pipeline (resolved, any status).
   void DecInflight();
 

@@ -3,10 +3,11 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "serve/server.h"
+#include "serve/protocol.h"
 
 namespace msd {
 namespace serve {
@@ -241,17 +242,11 @@ void ServedModel::ReleaseQuota() {
 }
 
 StatusOr<Tensor> ServedModel::Handle(const Tensor& window, int64_t timeout_us) {
-  Status admitted = AdmitQuota();
-  if (!admitted.ok()) return admitted;
   ResultFuture future;
-  Status submitted = batcher_.Submit(Tensor(window), &future, timeout_us);
-  if (!submitted.ok()) {
-    ReleaseQuota();
-    return submitted;
-  }
-  StatusOr<Tensor> result = future.get();
-  ReleaseQuota();
-  return result;
+  Status admitted =
+      SubmitAsync(Tensor(window), FutureCallback(&future), timeout_us);
+  if (!admitted.ok()) return admitted;
+  return future.get();
 }
 
 Status ServedModel::SubmitAsync(Tensor window, ResultCallback done,
@@ -555,19 +550,13 @@ StatusOr<std::shared_ptr<ServedModel>> ModelService::Route(
 }
 
 std::string ModelService::HandleLine(const std::string& line) {
-  const std::string trimmed = TrimmedLine(line);
-  std::string reply;
-  if (MaybeAdmin(trimmed, &reply)) return reply;
-  std::string payload;
-  StatusOr<std::shared_ptr<ServedModel>> model = Route(trimmed, &payload);
-  if (!model.ok()) return "ERROR " + model.status().ToString();
-  const MsdMixerConfig& mc = model.value()->session()->model_config();
-  StatusOr<Tensor> window =
-      ParseWindowLine(payload, mc.channels, mc.input_length);
-  if (!window.ok()) return "ERROR " + window.status().ToString();
-  StatusOr<Tensor> result = model.value()->Handle(window.value());
-  if (!result.ok()) return "ERROR " + result.status().ToString();
-  return FormatTensorLine(result.value());
+  // Shared: the completion may outlive this frame on a batcher worker.
+  auto reply = std::make_shared<std::promise<std::string>>();
+  std::future<std::string> answered = reply->get_future();
+  HandleLineAsync(line, [reply](std::string text) {
+    reply->set_value(std::move(text));
+  });
+  return answered.get();
 }
 
 // msd-hot-path: the multi-tenant request path every socket line runs

@@ -1,6 +1,6 @@
 // Multi-tenant model registry and hot-swap (docs/SERVING.md).
 //
-// Three layers turn the single-session ServerLoop into a multi-model server:
+// Three layers turn frozen InferenceSessions into a multi-model server:
 //
 //  * ManifestEntry / ParseManifest — the text manifest describing the fleet.
 //    One model per line:
@@ -33,12 +33,14 @@
 //    destroying the ServedModel there would self-join. The retired list is
 //    reaped on later admin calls and in the destructor.
 //
-// ModelService is the protocol front-end over a registry: the single-model
-// text protocol (serve/server.h) extended with an optional "MODEL <name> "
-// request prefix and the admin commands LIST, RELOAD <name> <checkpoint>,
-// STATS, TRACE <path>. HandleLineAsync is the epoll path (serve/netio.h):
-// data lines resolve through MicroBatcher::SubmitAsync so no thread is
-// parked per in-flight request.
+// ModelService is the one protocol front-end (a single model is a one-entry
+// registry): the text protocol (serve/protocol.h) with an optional
+// "MODEL <name> " request prefix and the admin commands LIST,
+// RELOAD <name> <checkpoint>, STATS, TRACE <path>. HandleLineAsync is the
+// one request path (serve/netio.h calls it directly): data lines resolve
+// through MicroBatcher::SubmitAsync so no thread is parked per in-flight
+// request. The blocking calls — ServedModel::Handle, ModelService::HandleLine
+// and MicroBatcher::Submit — are that path plus a wait.
 #ifndef MSDMIXER_SERVE_REGISTRY_H_
 #define MSDMIXER_SERVE_REGISTRY_H_
 
@@ -110,8 +112,7 @@ class ServedModel {
   ServedModel(const ServedModel&) = delete;
   ServedModel& operator=(const ServedModel&) = delete;
 
-  // Synchronous submit-and-wait (bench clients, stdin front-end). Applies
-  // the quota, then blocks on the batcher future.
+  // SubmitAsync plus a wait (bench clients, examples, tests).
   StatusOr<Tensor> Handle(const Tensor& window, int64_t timeout_us = -1);
 
   // Callback twin for the epoll front-end. Same admission contract as
@@ -224,8 +225,7 @@ class ModelService {
   // Attaches the exporter TRACE dumps route through (may be null).
   void SetExporter(obs::TelemetryExporter* exporter) { exporter_ = exporter; }
 
-  // Parses one protocol line, answers synchronously (stdin front-end,
-  // selftest). Data lines block on the model's batcher future.
+  // HandleLineAsync plus a wait (the stdin front-end, tests).
   std::string HandleLine(const std::string& line);
 
   // The epoll path: admin lines and admission failures answer `done`

@@ -3,7 +3,8 @@
 // quotas, atomic hot-swap semantics — in-flight requests finish on the
 // session they were admitted to while new requests route to the
 // replacement — plus a concurrent Get/Swap hammer the TSan leg runs, and
-// the ModelService text protocol (MODEL prefix, LIST, RELOAD, STATS).
+// the ModelService text protocol (MODEL prefix, LIST, RELOAD, STATS),
+// including an in-band RELOAD that swaps one model of two.
 #include "serve/registry.h"
 
 #include <unistd.h>
@@ -24,7 +25,7 @@
 #include "nn/serialize.h"
 #include "obs/json.h"
 #include "runtime/worker.h"
-#include "serve/server.h"
+#include "serve/protocol.h"
 #include "tasks/pipeline.h"
 #include "tensor/tensor_ops.h"
 
@@ -594,6 +595,74 @@ TEST(ModelServiceTest, HandleLineAsyncAnswersExactlyOnce) {
   service.HandleLineAsync("MODEL ghost " + line,
                           [&](std::string reply) { notfound_reply = reply; });
   EXPECT_EQ(notfound_reply.rfind("ERROR NotFound", 0), 0u);
+}
+
+TEST(ModelServiceTest, ReloadSwapsOneModelAndKeepsItOnBadCheckpoint) {
+  const Tensor series = ReloadSeries(43);
+  ForecastPipelineConfig pc;
+  pc.lookback = 32;
+  pc.horizon = 8;
+  pc.trainer.epochs = 1;
+  pc.trainer.batch_size = 16;
+  pc.trainer.max_batches_per_epoch = 4;
+  pc.trainer.early_stop_patience = 0;
+  ForecastPipeline pipe_v1(pc, /*seed=*/5);
+  ForecastPipeline pipe_v2(pc, /*seed=*/13);
+  pipe_v1.Fit(series);
+  pipe_v2.Fit(series);
+  const std::string ckpt_v1 = TempPath("service_v1.msdckpt");
+  const std::string ckpt_v2 = TempPath("service_v2.msdckpt");
+  ASSERT_TRUE(pipe_v1.Save(ckpt_v1).ok());
+  ASSERT_TRUE(pipe_v2.Save(ckpt_v2).ok());
+  auto manifest = serve::ParseManifest("model name=alpha version=1 "
+                                       "checkpoint=" + ckpt_v1 +
+                                       " lookback=32 horizon=8\n");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  serve::ForecastSessionOptions so;
+  so.lookback = 32;
+  so.horizon = 8;
+  auto oracle_v2 = serve::CreateForecastSession(ckpt_v2, so);
+  ASSERT_TRUE(oracle_v2.ok()) << oracle_v2.status().ToString();
+  {
+    serve::ModelRegistry registry(FastBatcher());
+    ASSERT_TRUE(registry.Load(manifest.value()).ok());
+    ASSERT_TRUE(
+        registry.Add(MakeServed("beta", 1, 22, 0, 0, /*horizon=*/4)).ok());
+    serve::ModelService service(&registry);
+
+    const std::string line_alpha =
+        "MODEL alpha " + serve::FormatTensorLine(Slice(series, 1, 0, 32));
+    const std::string line_beta =
+        "MODEL beta " + serve::FormatTensorLine(RandomWindow(920));
+    const std::string want_v2 = ExpectedReply(
+        oracle_v2.value().get(),
+        serve::FormatTensorLine(Slice(series, 1, 0, 32)));
+    const std::string beta_before = service.HandleLine(line_beta);
+    ASSERT_NE(beta_before.rfind("ERROR", 0), 0u) << beta_before;
+    // v1 and v2 answer differently, so the swap is observable.
+    ASSERT_NE(service.HandleLine(line_alpha), want_v2);
+
+    EXPECT_EQ(service.HandleLine("RELOAD alpha " + ckpt_v2), "OK alpha v2");
+    EXPECT_EQ(service.HandleLine(line_alpha), want_v2);
+    EXPECT_EQ(service.HandleLine(line_beta), beta_before);
+    obs::JsonValue stats;
+    ASSERT_TRUE(obs::JsonParse(service.HandleLine("STATS"), &stats));
+    EXPECT_EQ(stats.Find("models")->Find("alpha")->Find("version")->number,
+              2.0);
+    EXPECT_EQ(stats.Find("models")->Find("beta")->Find("version")->number,
+              1.0);
+
+    // A missing checkpoint is an error, and alpha stays on v2.
+    const std::string bad =
+        service.HandleLine("RELOAD alpha does_not_exist.msdckpt");
+    EXPECT_EQ(bad.rfind("ERROR", 0), 0u) << bad;
+    EXPECT_EQ(registry.Get("alpha").value()->version(), 2);
+    EXPECT_EQ(service.HandleLine(line_alpha), want_v2);
+  }
+  std::remove(ckpt_v1.c_str());
+  std::remove((ckpt_v1 + ".meta").c_str());
+  std::remove(ckpt_v2.c_str());
+  std::remove((ckpt_v2 + ".meta").c_str());
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // pipeline, batch-composition invariance, micro-batcher contracts
 // (backpressure, timeout, cancellation), and the no-tape-growth regression
 // for inference paths. See docs/SERVING.md.
-#include "serve/server.h"
+#include "serve/protocol.h"
 
 #include <unistd.h>
 
@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/ring.h"
 #include "runtime/parallel.h"
+#include "serve/registry.h"
 #include "serve/trace.h"
 #include "tasks/pipeline.h"
 #include "tensor/tensor_ops.h"
@@ -316,12 +317,35 @@ TEST(MicroBatcherTest, SubmitValidatesWindowShape) {
   batcher.Stop();
 }
 
+// The ServerLoopTest suite is named after the single-session front-end it
+// used to drive; its cases now run ModelService over a one-entry registry.
+struct OneModelService {
+  explicit OneModelService(std::unique_ptr<serve::InferenceSession> session)
+      : registry(Config()), service(&registry) {
+    serve::ManifestEntry entry;
+    entry.name = "default";
+    entry.version = 1;
+    model = std::make_shared<serve::ServedModel>(entry, std::move(session),
+                                                 Config());
+    EXPECT_TRUE(registry.Add(model).ok());
+    registry.set_default_model(entry.name);
+  }
+  static serve::MicroBatcherConfig Config() {
+    serve::MicroBatcherConfig config;
+    config.max_delay_us = 200;
+    return config;
+  }
+  std::string HandleLine(const std::string& line) {
+    return service.HandleLine(line);
+  }
+
+  serve::ModelRegistry registry;
+  serve::ModelService service;
+  std::shared_ptr<serve::ServedModel> model;
+};
+
 TEST(ServerLoopTest, TextProtocolRoundTrip) {
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  config.max_delay_us = 200;
-  serve::ServerLoop server(session.get(), config);
-  server.Start();
+  OneModelService server(MakeSession(TaskType::kForecast));
 
   const Tensor window = RandomWindow(11);
   const std::string reply =
@@ -329,7 +353,7 @@ TEST(ServerLoopTest, TextProtocolRoundTrip) {
   ASSERT_NE(reply.rfind("ERROR", 0), 0u) << reply;
   auto parsed = serve::ParseWindowLine(reply, 2, 8);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  auto want = session->Predict(window);
+  auto want = server.model->session()->Predict(window);
   ASSERT_TRUE(want.ok());
   // %.6g text round-trip, so approximate comparison only.
   EXPECT_TRUE(AllClose(parsed.value(), want.value(), 1e-3f, 1e-3f));
@@ -340,7 +364,6 @@ TEST(ServerLoopTest, TextProtocolRoundTrip) {
   poisoned.replace(0, poisoned.find(','), "nan");
   EXPECT_EQ(server.HandleLine(poisoned).rfind("ERROR InvalidArgument", 0), 0u);
   EXPECT_EQ(server.HandleLine("").rfind("ERROR", 0), 0u);
-  server.Stop();
 }
 
 TEST(ServerLoopTest, ParseAndFormatAreInverses) {
@@ -464,11 +487,7 @@ TEST(MicroBatcherTest, DeadlineMissCounterTracksExpiredRequests) {
 }
 
 TEST(ServerLoopTest, StatsCommandReportsCountersAndQuantiles) {
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  config.max_delay_us = 200;
-  serve::ServerLoop server(session.get(), config);
-  server.Start();
+  OneModelService server(MakeSession(TaskType::kForecast));
   ASSERT_EQ(server.HandleLine(serve::FormatTensorLine(RandomWindow(12)))
                 .rfind("ERROR", 0),
             std::string::npos);
@@ -493,7 +512,6 @@ TEST(ServerLoopTest, StatsCommandReportsCountersAndQuantiles) {
   // The command itself is whitespace-tolerant.
   EXPECT_EQ(server.HandleLine("  STATS  ").rfind("ERROR", 0),
             std::string::npos);
-  server.Stop();
 }
 
 TEST(ServerLoopTest, TraceCommandRequiresExporterAndWritesChromeJson) {
@@ -502,11 +520,7 @@ TEST(ServerLoopTest, TraceCommandRequiresExporterAndWritesChromeJson) {
   ring.SetSampleEvery(1);
   ring.Clear();
 
-  auto session = MakeSession(TaskType::kForecast);
-  serve::MicroBatcherConfig config;
-  config.max_delay_us = 200;
-  serve::ServerLoop server(session.get(), config);
-  server.Start();
+  OneModelService server(MakeSession(TaskType::kForecast));
 
   // Without a wired exporter there is no thread allowed to do file I/O.
   EXPECT_EQ(server.HandleLine("TRACE /tmp/never_written.json").rfind("ERROR", 0),
@@ -514,7 +528,7 @@ TEST(ServerLoopTest, TraceCommandRequiresExporterAndWritesChromeJson) {
 
   obs::TelemetryExporter exporter(obs::TelemetryExporterOptions{});
   ASSERT_TRUE(exporter.Start());
-  server.SetExporter(&exporter);
+  server.service.SetExporter(&exporter);
   EXPECT_EQ(server.HandleLine("TRACE").rfind("ERROR", 0), 0u);  // path missing
 
   ASSERT_EQ(server.HandleLine(serve::FormatTensorLine(RandomWindow(13)))
@@ -522,7 +536,6 @@ TEST(ServerLoopTest, TraceCommandRequiresExporterAndWritesChromeJson) {
             std::string::npos);
   const std::string dump = TempPath("trace_dump.json");
   EXPECT_EQ(server.HandleLine("TRACE " + dump).rfind("OK", 0), 0u);
-  server.Stop();
   exporter.Stop();
   ring.SetSampleEvery(old_sample);
 

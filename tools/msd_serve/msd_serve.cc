@@ -17,27 +17,30 @@
 // --manifest FILE serves a whole fleet: one `model name=... version=...
 // checkpoint=...` line per tenant (serve/registry.h documents the keys).
 // The single-checkpoint form is sugar for a one-entry manifest whose model
-// is named "default".
+// is named "default". --max-batch (default 32, the ManifestEntry default)
+// sizes both the single-checkpoint session's plans and every batcher's
+// coalescing window, so the batcher fills every plan the session compiled.
 //
 // By default requests are read from stdin and answered on stdout (shell
-// pipelines, smoke tests). With --socket PATH the tool listens on an
-// AF_UNIX stream socket through serve::SocketServer — an epoll loop that
-// multiplexes up to --max-conns concurrent connections and resolves
-// requests through the batchers' async path, so slow clients never block
-// each other. Admin commands: STATS (per-model counters included), LIST,
-// RELOAD <model> <checkpoint> (atomic hot-swap; in-flight requests finish
-// on the old session), TRACE <path>.
+// pipelines, smoke tests); a stdin line longer than the socket transport's
+// max_line_bytes (1 MiB) is answered with one ERROR and skipped. With
+// --socket PATH the tool listens on an AF_UNIX stream socket through
+// serve::SocketServer — an epoll loop that multiplexes up to --max-conns
+// concurrent connections and resolves requests through the batchers' async
+// path, so slow clients never block each other. Admin commands: STATS
+// (per-model counters included), LIST, RELOAD <model> <checkpoint> (atomic
+// hot-swap; in-flight requests finish on the old session), TRACE <path>.
 //
-// --selftest trains small pipelines on synthetic data and exercises the
-// full stack against itself: the single-model phase answers every data
-// request through BOTH a planned session (MSD_PLAN=1, docs/COMPILER.md)
-// and an interpreted one (MSD_PLAN=0) and requires byte-identical replies
-// (degraded to the 2% quantization accuracy contract under MSD_QUANT=1);
-// the multi-model phase drives a two-tenant manifest through MODEL-prefixed
-// routing, LIST, a live RELOAD hot-swap, per-model STATS counters and a
-// round trip over a real SocketServer connection, memcmp'ing every data
-// reply against a direct oracle session over the same checkpoint. Exits
-// nonzero on any mismatch — this is the msd_serve_selftest ctest.
+// --selftest is a smoke test of this binary: it saves one tiny checkpoint,
+// writes a one-entry manifest, and brings up the same stack main runs
+// (RunServingStack) with --manifest and --socket. Over one socket
+// connection it checks a data reply against an oracle session over the
+// same checkpoint, then STATS, LIST, TRACE and one RELOAD; it feeds the
+// stdin front-end an oversized line and a good one, and validates the
+// telemetry JSONL. Under MSD_QUANT=1 it also requires the served plan to
+// have adopted int8 steps. The protocol's full contract lives in the gtest
+// suites (serve_test, registry_test, netio_test). This is the
+// msd_serve_selftest ctest.
 //
 // Telemetry: a background obs::TelemetryExporter appends a JSONL registry
 // snapshot to --telemetry-out every --telemetry-interval-ms and services
@@ -53,6 +56,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,8 +71,8 @@
 #include "obs/ring.h"
 #include "runtime/worker.h"
 #include "serve/netio.h"
+#include "serve/protocol.h"
 #include "serve/registry.h"
-#include "serve/server.h"
 #include "tasks/pipeline.h"
 #include "tensor/tensor_ops.h"
 
@@ -102,8 +106,9 @@ bool HasFlag(int argc, char** argv, const std::string& flag) {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <checkpoint> [--lookback N] [--horizon N]\n"
-               "          [--model-dim N] [--hidden-dim N] [--max-batch N]\n"
-               "          [--max-inflight N] [--max-delay-us N] [--workers N]\n"
+               "          [--model-dim N] [--hidden-dim N]\n"
+               "          [--max-batch N (default 32)] [--max-inflight N]\n"
+               "          [--max-delay-us N] [--workers N]\n"
                "          [--socket PATH] [--max-conns N] [--backlog N]\n"
                "          [--telemetry-out FILE] [--telemetry-interval-ms N]\n"
                "          [--trace-sample N]\n"
@@ -112,36 +117,51 @@ void Usage(const char* argv0) {
                argv0, argv0, argv0);
 }
 
+std::string ReadAll(std::FILE* f) {
+  std::string out;
+  char chunk[4096];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) out.append(chunk, n);
+  return out;
+}
+
 bool ReadFileToString(const std::string& path, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return false;
-  char chunk[4096];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    out->append(chunk, n);
-  }
+  *out = ReadAll(f);
   std::fclose(f);
   return true;
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t nl = text.find('\n', start);
+    if (nl == std::string::npos) nl = text.size();
+    lines.push_back(text.substr(start, nl - start));
+    start = nl + 1;
+  }
+  return lines;
 }
 
 // Reads `path` and checks every line is a self-contained JSON snapshot with
 // the schema the exporter promises ({"ts_ms":..,"seq":..,"metrics":{...}}
 // with the serve counters present). Returns the number of problems found.
 int ValidateTelemetryFile(const std::string& path, int64_t min_lines) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
+  std::string text;
+  if (!ReadFileToString(path, &text)) {
     std::fprintf(stderr, "telemetry: cannot open %s\n", path.c_str());
     return 1;
   }
   int failures = 0;
-  int64_t lines = 0;
-  char line[1 << 16];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    ++lines;
+  const std::vector<std::string> lines = SplitLines(text);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const long long line_no = static_cast<long long>(i) + 1;
     obs::JsonValue doc;
-    if (!obs::JsonParse(line, &doc) || !doc.is_object()) {
+    if (!obs::JsonParse(lines[i], &doc) || !doc.is_object()) {
       std::fprintf(stderr, "telemetry: line %lld is not valid JSON\n",
-                   (long long)lines);
+                   line_no);
       ++failures;
       continue;
     }
@@ -151,7 +171,7 @@ int ValidateTelemetryFile(const std::string& path, int64_t min_lines) {
     if (ts == nullptr || !ts->is_number() || seq == nullptr ||
         !seq->is_number() || metrics == nullptr || !metrics->is_object()) {
       std::fprintf(stderr, "telemetry: line %lld misses ts_ms/seq/metrics\n",
-                   (long long)lines);
+                   line_no);
       ++failures;
       continue;
     }
@@ -160,567 +180,65 @@ int ValidateTelemetryFile(const std::string& path, int64_t min_lines) {
         counters->Find("serve/requests_total") == nullptr) {
       std::fprintf(stderr,
                    "telemetry: line %lld misses serve/requests_total\n",
-                   (long long)lines);
+                   line_no);
       ++failures;
     }
   }
-  std::fclose(f);
-  if (lines < min_lines) {
-    std::fprintf(stderr, "telemetry: %s has %lld lines, expected >= %lld\n",
-                 path.c_str(), (long long)lines, (long long)min_lines);
+  if (static_cast<int64_t>(lines.size()) < min_lines) {
+    std::fprintf(stderr, "telemetry: %s has %zu lines, expected >= %lld\n",
+                 path.c_str(), lines.size(), (long long)min_lines);
     ++failures;
   }
   return failures;
 }
 
-// Serves stdin line-by-line; EOF terminates cleanly.
-int ServeStdin(serve::ModelService& service) {
-  std::fprintf(stderr, "ready: one request per line on stdin\n");
-  char line[1 << 16];
-  while (std::fgets(line, sizeof(line), stdin) != nullptr) {
-    const std::string reply = service.HandleLine(line);
-    std::printf("%s\n", reply.c_str());
-    std::fflush(stdout);
-  }
-  return 0;
-}
-
-// --- blocking AF_UNIX client helpers (selftest + simple tooling) ---------
-
-int ConnectUnix(const std::string& path) {
-  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  int rc;
-  do {
-    rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-// Sends one request line and reads exactly one '\n'-framed reply.
-std::string RoundTrip(int fd, const std::string& line) {
-  const std::string framed = line + "\n";
-  size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t w =
-        send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return "ERROR Internal: client write failed";
-    sent += static_cast<size_t>(w);
-  }
-  std::string reply;
-  char c;
+// Serves `in` line by line onto `out`; EOF terminates cleanly. Lines are
+// limited like the socket transport's: a line longer than
+// SocketServerConfig::max_line_bytes is answered with one ERROR and
+// skipped, so the client stays in step with its replies.
+int ServeStdin(serve::ModelService& service, std::FILE* in, std::FILE* out) {
+  const size_t max_line =
+      static_cast<size_t>(serve::SocketServerConfig().max_line_bytes);
   for (;;) {
-    const ssize_t n = read(fd, &c, 1);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return "ERROR Internal: client read failed";
-    if (c == '\n') break;
-    reply.push_back(c);
-  }
-  return reply;
-}
-
-ForecastPipelineConfig SelfTestPipelineConfig(int64_t horizon) {
-  ForecastPipelineConfig pc;
-  pc.lookback = 32;
-  pc.horizon = horizon;
-  pc.trainer.epochs = 2;
-  pc.trainer.batch_size = 16;
-  pc.trainer.max_batches_per_epoch = 8;
-  pc.trainer.early_stop_patience = 0;
-  return pc;
-}
-
-Tensor SelfTestSeries(uint64_t seed) {
-  SeriesConfig series_config;
-  series_config.name = "selftest";
-  series_config.length = 400;
-  series_config.seed = seed;
-  for (int c = 0; c < 2; ++c) {
-    ChannelSpec channel;
-    channel.level = 1.0 + c;
-    channel.seasonals.push_back({24.0, 1.0, 0.4 * c, 2});
-    channel.noise_sigma = 0.05;
-    series_config.channels.push_back(channel);
-  }
-  return GenerateSeries(series_config);
-}
-
-// The two-tenant phase: manifest routing, LIST, live RELOAD, per-model
-// STATS, and one round trip over a real epoll SocketServer connection.
-// Every data reply is memcmp'd against a direct oracle session over the
-// same checkpoint — the determinism contract makes matching replies
-// byte-identical, so a misrouted or version-crossed reply cannot pass.
-int MultiModelSelfTest() {
-  int failures = 0;
-  const Tensor series_a = SelfTestSeries(21);
-  const Tensor series_b = SelfTestSeries(33);
-
-  // Different horizons: a reply from the wrong tenant has the wrong shape.
-  const ForecastPipelineConfig pa = SelfTestPipelineConfig(/*horizon=*/8);
-  const ForecastPipelineConfig pb = SelfTestPipelineConfig(/*horizon=*/4);
-  ForecastPipeline pipe_a(pa, /*seed=*/5);
-  ForecastPipeline pipe_a2(pa, /*seed=*/13);  // the hot-swap replacement
-  ForecastPipeline pipe_b(pb, /*seed=*/9);
-  pipe_a.Fit(series_a);
-  pipe_a2.Fit(series_a);
-  pipe_b.Fit(series_b);
-
-  char prefix[96];
-  std::snprintf(prefix, sizeof(prefix), "msd_selftest_mm_%d", (int)getpid());
-  const std::string ckpt_a = std::string(prefix) + "_a.msdckpt";
-  const std::string ckpt_a2 = std::string(prefix) + "_a2.msdckpt";
-  const std::string ckpt_b = std::string(prefix) + "_b.msdckpt";
-  if (!pipe_a.Save(ckpt_a).ok() || !pipe_a2.Save(ckpt_a2).ok() ||
-      !pipe_b.Save(ckpt_b).ok()) {
-    std::fprintf(stderr, "selftest: multi-model save failed\n");
-    return 1;
-  }
-
-  // The manifest goes through the real file path the --manifest flag uses.
-  const std::string manifest_path = std::string(prefix) + ".manifest";
-  {
-    std::FILE* mf = std::fopen(manifest_path.c_str(), "w");
-    if (mf == nullptr) {
-      std::fprintf(stderr, "selftest: cannot write %s\n",
-                   manifest_path.c_str());
-      return 1;
-    }
-    std::fprintf(mf,
-                 "# two-tenant selftest fleet\n"
-                 "model name=alpha version=1 checkpoint=%s lookback=32 "
-                 "horizon=8 default=1\n"
-                 "model name=beta version=1 checkpoint=%s lookback=32 "
-                 "horizon=4 max_inflight=64\n",
-                 ckpt_a.c_str(), ckpt_b.c_str());
-    std::fclose(mf);
-  }
-  std::string manifest_text;
-  if (!ReadFileToString(manifest_path, &manifest_text)) {
-    std::fprintf(stderr, "selftest: cannot read back %s\n",
-                 manifest_path.c_str());
-    return 1;
-  }
-  auto manifest = serve::ParseManifest(manifest_text);
-  if (!manifest.ok()) {
-    std::fprintf(stderr, "selftest: manifest rejected: %s\n",
-                 manifest.status().ToString().c_str());
-    return 1;
-  }
-
-  // Oracles: direct sessions over the same checkpoints (same MSD_PLAN /
-  // MSD_QUANT environment as the served sessions, so replies match bytes).
-  serve::ForecastSessionOptions oa;
-  oa.lookback = 32;
-  oa.horizon = 8;
-  serve::ForecastSessionOptions ob;
-  ob.lookback = 32;
-  ob.horizon = 4;
-  auto oracle_a = serve::CreateForecastSession(ckpt_a, oa);
-  auto oracle_a2 = serve::CreateForecastSession(ckpt_a2, oa);
-  auto oracle_b = serve::CreateForecastSession(ckpt_b, ob);
-  if (!oracle_a.ok() || !oracle_a2.ok() || !oracle_b.ok()) {
-    std::fprintf(stderr, "selftest: oracle session failed\n");
-    return 1;
-  }
-  // The oracle must see exactly the bytes the server parses: the request
-  // line is %.6g-rounded, so the expected reply is computed from the
-  // round-tripped window, making matching replies byte-identical.
-  auto expect = [](serve::InferenceSession* session, const std::string& line) {
-    auto window = serve::ParseWindowLine(line, /*channels=*/0, /*length=*/0);
-    if (!window.ok()) return "ERROR " + window.status().ToString();
-    auto out = session->Predict(window.value());
-    return out.ok() ? serve::FormatTensorLine(out.value())
-                    : "ERROR " + out.status().ToString();
-  };
-
-  {
-    // The SocketServer outlives the registry (completions Post through it
-    // while batchers drain), hence the declaration order.
-    serve::SocketServerConfig sc;
-    sc.path = std::string("/tmp/") + prefix + ".sock";
-    sc.max_conns = 8;
-    serve::MicroBatcherConfig bc;
-    bc.max_delay_us = 500;
-    std::unique_ptr<serve::SocketServer> socket_server;
-    runtime::WorkerGroup loop_thread;
-    serve::ModelRegistry registry(bc);
-    Status loaded = registry.Load(manifest.value());
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "selftest: registry load failed: %s\n",
-                   loaded.ToString().c_str());
-      return 1;
-    }
-    serve::ModelService service(&registry);
-
-    for (int64_t offset = 0; offset < 64; offset += 16) {
-      const Tensor window_a = Slice(series_a, 1, offset, pa.lookback);
-      const Tensor window_b = Slice(series_b, 1, offset, pb.lookback);
-      const std::string line_a = serve::FormatTensorLine(window_a);
-      const std::string line_b = serve::FormatTensorLine(window_b);
-      const std::string want_a = expect(oracle_a.value().get(), line_a);
-      const std::string want_b = expect(oracle_b.value().get(), line_b);
-      const std::string got_a = service.HandleLine("MODEL alpha " + line_a);
-      const std::string got_b = service.HandleLine("MODEL beta " + line_b);
-      const std::string got_default = service.HandleLine(line_a);
-      if (got_a != want_a) {
-        std::fprintf(stderr, "selftest: MODEL alpha reply mismatch:\n"
-                             "  got:  %s\n  want: %s\n",
-                     got_a.c_str(), want_a.c_str());
-        ++failures;
-      }
-      if (got_b != want_b) {
-        std::fprintf(stderr, "selftest: MODEL beta reply mismatch\n");
-        ++failures;
-      }
-      if (got_default != want_a) {
-        std::fprintf(stderr,
-                     "selftest: default route did not hit the default "
-                     "model\n");
-        ++failures;
-      }
-    }
-
-    const std::string unknown = service.HandleLine("MODEL ghost 1,2");
-    if (unknown.rfind("ERROR NotFound", 0) != 0) {
-      std::fprintf(stderr, "selftest: unknown model not NotFound: %s\n",
-                   unknown.c_str());
-      ++failures;
-    }
-
-    // LIST: both tenants at v1, alpha the default.
-    const std::string list = service.HandleLine("LIST");
-    obs::JsonValue list_doc;
-    if (!obs::JsonParse(list, &list_doc) || !list_doc.is_object() ||
-        list_doc.Find("default") == nullptr ||
-        list_doc.Find("default")->str != "alpha" ||
-        list_doc.Find("models") == nullptr ||
-        list_doc.Find("models")->array.size() != 2) {
-      std::fprintf(stderr, "selftest: bad LIST reply: %s\n", list.c_str());
-      ++failures;
-    }
-
-    // Live hot-swap: alpha moves to the retrained checkpoint; beta is
-    // untouched; replies flip to the new oracle.
-    const std::string reload =
-        service.HandleLine("RELOAD alpha " + ckpt_a2);
-    if (reload != "OK alpha v2") {
-      std::fprintf(stderr, "selftest: RELOAD failed: %s\n", reload.c_str());
-      ++failures;
-    }
-    const std::string line =
-        serve::FormatTensorLine(Slice(series_a, 1, 0, pa.lookback));
-    if (service.HandleLine("MODEL alpha " + line) !=
-        expect(oracle_a2.value().get(), line)) {
-      std::fprintf(stderr,
-                   "selftest: post-RELOAD alpha reply is not v2's\n");
-      ++failures;
-    }
-    const std::string line_b =
-        serve::FormatTensorLine(Slice(series_b, 1, 0, pb.lookback));
-    if (service.HandleLine("MODEL beta " + line_b) !=
-        expect(oracle_b.value().get(), line_b)) {
-      std::fprintf(stderr, "selftest: RELOAD of alpha disturbed beta\n");
-      ++failures;
-    }
-    const std::string bad_reload =
-        service.HandleLine("RELOAD alpha does_not_exist.msdckpt");
-    if (bad_reload.rfind("ERROR", 0) != 0) {
-      std::fprintf(stderr, "selftest: RELOAD of a bad checkpoint passed\n");
-      ++failures;
-    }
-
-    // STATS: the per-model object reflects the traffic and the new version.
-    const std::string stats = service.HandleLine("STATS");
-    obs::JsonValue stats_doc;
-    const obs::JsonValue* models = nullptr;
-    const obs::JsonValue* alpha = nullptr;
-    if (!obs::JsonParse(stats, &stats_doc) ||
-        (models = stats_doc.Find("models")) == nullptr ||
-        (alpha = models->Find("alpha")) == nullptr ||
-        models->Find("beta") == nullptr) {
-      std::fprintf(stderr, "selftest: STATS misses per-model counters: %s\n",
-                   stats.c_str());
-      ++failures;
-    } else if (alpha->Find("version") == nullptr ||
-               alpha->Find("version")->number != 2.0 ||
-               alpha->Find("requests_total") == nullptr ||
-               alpha->Find("requests_total")->number < 4.0) {
-      std::fprintf(stderr, "selftest: STATS alpha counters wrong: %s\n",
-                   stats.c_str());
-      ++failures;
-    }
-
-    // One round trip over the real epoll transport.
-    socket_server = std::make_unique<serve::SocketServer>(
-        sc, [&service](std::string req, std::function<void(std::string)> rp) {
-          service.HandleLineAsync(req, std::move(rp));
-        });
-    Status listening = socket_server->Listen();
-    if (!listening.ok()) {
-      std::fprintf(stderr, "selftest: socket listen failed: %s\n",
-                   listening.ToString().c_str());
-      ++failures;
-    } else {
-      loop_thread.Start(1, [&socket_server](int64_t) { socket_server->Run(); });
-      const int fd = ConnectUnix(sc.path);
-      if (fd < 0) {
-        std::fprintf(stderr, "selftest: socket connect failed\n");
-        ++failures;
+    std::string line;
+    bool oversized = false;
+    int c;
+    while ((c = getc_unlocked(in)) != EOF && c != '\n') {
+      if (line.size() < max_line) {
+        line.push_back(static_cast<char>(c));
       } else {
-        if (RoundTrip(fd, "MODEL beta " + line_b) !=
-            expect(oracle_b.value().get(), line_b)) {
-          std::fprintf(stderr, "selftest: socket beta reply mismatch\n");
-          ++failures;
-        }
-        const std::string socket_list = RoundTrip(fd, "LIST");
-        if (socket_list.find("\"default\":\"alpha\"") == std::string::npos) {
-          std::fprintf(stderr, "selftest: socket LIST mismatch: %s\n",
-                       socket_list.c_str());
-          ++failures;
-        }
-        close(fd);
+        oversized = true;
       }
-      socket_server->Shutdown();
-      loop_thread.Join();
     }
+    if (c == EOF && line.empty()) return 0;
+    const std::string reply =
+        oversized ? "ERROR " + Status::InvalidArgument(
+                                   "request line exceeds " +
+                                   std::to_string(max_line) + " bytes")
+                                   .ToString()
+                  : service.HandleLine(line);
+    std::fprintf(out, "%s\n", reply.c_str());
+    std::fflush(out);
   }
-
-  std::remove(ckpt_a.c_str());
-  std::remove((ckpt_a + ".meta").c_str());
-  std::remove(ckpt_a2.c_str());
-  std::remove((ckpt_a2 + ".meta").c_str());
-  std::remove(ckpt_b.c_str());
-  std::remove((ckpt_b + ".meta").c_str());
-  std::remove(manifest_path.c_str());
-  return failures;
 }
 
-// Trains a small pipeline, round-trips it through checkpoint + text
-// protocol (including the STATS/TRACE admin commands), and cross-checks
-// every reply against the pipeline's own Predict. Returns the process exit
-// code.
-int SelfTest(int argc, char** argv) {
-  const Tensor series = SelfTestSeries(21);
-  const ForecastPipelineConfig pc = SelfTestPipelineConfig(/*horizon=*/8);
-  ForecastPipeline pipeline(pc, /*seed=*/5);
-  pipeline.Fit(series);
+// What a run does with the live stack: main serves stdin or the socket,
+// --selftest drives it. `socket` is null without --socket. Returns the
+// process exit code.
+using StackBody = std::function<int(
+    serve::ModelRegistry&, serve::ModelService&, serve::SocketServer*)>;
 
-  const std::string ckpt = "msd_serve_selftest.msdckpt";
-  Status saved = pipeline.Save(ckpt);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "selftest: save failed: %s\n",
-                 saved.ToString().c_str());
-    return 1;
-  }
-
-  serve::ForecastSessionOptions options;
-  options.lookback = pc.lookback;
-  options.horizon = pc.horizon;
-  // Two sessions over the same checkpoint: one frozen through the plan
-  // compiler (MSD_PLAN=1), one pinned to the interpreter (MSD_PLAN=0).
-  // Every data reply below is answered by both and must match byte-for-byte
-  // — the end-to-end spelling of the planner's bit-identity contract.
-  ::setenv("MSD_PLAN", "1", 1);
-  auto session = serve::CreateForecastSession(ckpt, options);
-  ::setenv("MSD_PLAN", "0", 1);
-  auto interp_session = serve::CreateForecastSession(ckpt, options);
-  ::unsetenv("MSD_PLAN");
-  std::remove(ckpt.c_str());
-  std::remove((ckpt + ".meta").c_str());
-  if (!session.ok() || !interp_session.ok()) {
-    std::fprintf(stderr, "selftest: session failed: %s\n",
-                 (session.ok() ? interp_session.status() : session.status())
-                     .ToString()
-                     .c_str());
-    return 1;
-  }
-  if (!session.value()->planned() || interp_session.value()->planned()) {
-    std::fprintf(stderr, "selftest: MSD_PLAN did not select the paths\n");
-    return 1;
-  }
-  if (session.value()->plan_for(1) == nullptr) {
-    std::fprintf(stderr, "selftest: planned session has no batch-1 plan\n");
-    return 1;
-  }
-  // MSD_QUANT=1 flips the planned session to the int8 path; the interpreted
-  // oracle has no plans, so it stays fp32 regardless. Replies then agree to
-  // quantization accuracy, not byte-for-byte.
-  const bool quant = session.value()->quantized();
-  if (quant && session.value()->plan_for(1)->stats().num_quantized == 0) {
-    std::fprintf(stderr,
-                 "selftest: MSD_QUANT=1 but the batch-1 plan adopted no "
-                 "int8 steps (all fell back to fp32)\n");
-    return 1;
-  }
-  serve::MicroBatcherConfig bc;
-  bc.max_delay_us = 500;
-  serve::ServerLoop server(session.value().get(), bc);
-  serve::MicroBatcherConfig ibc;
-  ibc.max_delay_us = 500;
-  serve::ServerLoop interp_server(interp_session.value().get(), ibc);
-
-  // Sample every request so the TRACE dump below is never empty.
-  obs::TraceRing::Global().SetSampleEvery(1);
-  const std::string telemetry_path = FlagValue(argc, argv, "--telemetry-out");
-  obs::TelemetryExporterOptions exporter_options;
-  exporter_options.path = telemetry_path;
-  exporter_options.interval_ms = 50;
-  obs::TelemetryExporter exporter(exporter_options);
-  if (!exporter.Start()) {
-    std::fprintf(stderr, "selftest: cannot open %s\n", telemetry_path.c_str());
-    return 1;
-  }
-  server.SetExporter(&exporter);
-  server.Start();
-  interp_server.Start();
-
-  int failures = 0;
-  for (int64_t offset = 0; offset + pc.lookback <= series.dim(1) && offset < 64;
-       offset += 16) {
-    const Tensor window = Slice(series, 1, offset, pc.lookback);
-    const Tensor want = pipeline.Predict(window);
-    const std::string line = serve::FormatTensorLine(window);
-    const std::string reply = server.HandleLine(line);
-    if (reply.rfind("ERROR", 0) == 0) {
-      std::fprintf(stderr, "selftest: request failed: %s\n", reply.c_str());
-      ++failures;
-      continue;
-    }
-    // Planned vs interpreted: byte-identical replies in fp32 mode (identical
-    // floats print identically under %.6g); within the quantization accuracy
-    // contract when the planned session runs int8.
-    const std::string interp_reply = interp_server.HandleLine(line);
-    if (!quant && (reply.size() != interp_reply.size() ||
-                   std::memcmp(reply.data(), interp_reply.data(),
-                               reply.size()) != 0)) {
-      std::fprintf(stderr,
-                   "selftest: planned and interpreted replies differ:\n"
-                   "  plan:   %s\n  interp: %s\n",
-                   reply.c_str(), interp_reply.c_str());
-      ++failures;
-    }
-    auto parsed = serve::ParseWindowLine(reply, window.dim(0), pc.horizon);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "selftest: unparseable reply: %s\n",
-                   parsed.status().ToString().c_str());
-      ++failures;
-      continue;
-    }
-    if (quant) {
-      auto interp_parsed =
-          serve::ParseWindowLine(interp_reply, window.dim(0), pc.horizon);
-      if (!interp_parsed.ok() ||
-          !AllClose(parsed.value(), interp_parsed.value(), /*atol=*/2e-2f,
-                    /*rtol=*/2e-2f)) {
-        std::fprintf(stderr,
-                     "selftest: int8 reply outside quantization tolerance:\n"
-                     "  plan:   %s\n  interp: %s\n",
-                     reply.c_str(), interp_reply.c_str());
-        ++failures;
-      }
-    }
-    // %.6g text round-trip: compare with a matching tolerance, not bitwise
-    // (widened under int8 to the same quantization accuracy budget).
-    const float tol = quant ? 2e-2f : 1e-3f;
-    if (!AllClose(parsed.value(), want, /*atol=*/tol, /*rtol=*/tol)) {
-      std::fprintf(stderr, "selftest: reply diverges from pipeline Predict\n");
-      ++failures;
-    }
-  }
-
-  const std::string error_reply = server.HandleLine("1,2,spam");
-  if (error_reply.rfind("ERROR", 0) != 0) {
-    std::fprintf(stderr, "selftest: malformed request not rejected: %s\n",
-                 error_reply.c_str());
-    ++failures;
-  }
-
-  // STATS: one JSON object with the request counters and latency quantiles.
-  const std::string stats = server.HandleLine("STATS\n");
-  obs::JsonValue stats_doc;
-  if (!obs::JsonParse(stats, &stats_doc) || !stats_doc.is_object() ||
-      stats_doc.Find("requests_total") == nullptr ||
-      stats_doc.Find("e2e_us") == nullptr) {
-    std::fprintf(stderr, "selftest: bad STATS reply: %s\n", stats.c_str());
-    ++failures;
-  }
-
-  // TRACE: the dump must parse and contain the three per-request phases.
-  char trace_path[128];
-  std::snprintf(trace_path, sizeof(trace_path),
-                "msd_serve_selftest_trace_%d.json", (int)getpid());
-  const std::string trace_reply =
-      server.HandleLine(std::string("TRACE ") + trace_path + "\n");
-  if (trace_reply.rfind("OK", 0) != 0) {
-    std::fprintf(stderr, "selftest: TRACE failed: %s\n", trace_reply.c_str());
-    ++failures;
-  } else {
-    std::string trace_json;
-    if (!ReadFileToString(trace_path, &trace_json)) {
-      std::fprintf(stderr, "selftest: cannot read TRACE dump\n");
-      ++failures;
-    }
-    obs::JsonValue trace_doc;
-    const obs::JsonValue* events = nullptr;
-    if (!obs::JsonParse(trace_json, &trace_doc) ||
-        (events = trace_doc.Find("traceEvents")) == nullptr ||
-        !events->is_array() || events->array.empty()) {
-      std::fprintf(stderr, "selftest: TRACE dump unparseable or empty\n");
-      ++failures;
-    } else {
-      bool saw_queue = false, saw_assembly = false, saw_compute = false;
-      for (const obs::JsonValue& event : events->array) {
-        const obs::JsonValue* name = event.Find("name");
-        if (name == nullptr || !name->is_string()) continue;
-        saw_queue = saw_queue || name->str == "queue";
-        saw_assembly = saw_assembly || name->str == "batch_assembly";
-        saw_compute = saw_compute || name->str == "compute";
-      }
-      if (!saw_queue || !saw_assembly || !saw_compute) {
-        std::fprintf(stderr,
-                     "selftest: TRACE dump misses a request phase span\n");
-        ++failures;
-      }
-    }
-  }
-  std::remove(trace_path);
-
-  server.Stop();
-  interp_server.Stop();
-
-  // Phase two: the multi-tenant stack (registry, routing, hot-swap, epoll).
-  failures += MultiModelSelfTest();
-
-  exporter.Stop();
-  if (!telemetry_path.empty()) {
-    // At least the t=0 and flush-on-shutdown snapshots must be present.
-    failures += ValidateTelemetryFile(telemetry_path, /*min_lines=*/2);
-  }
-  std::printf("selftest %s\n", failures == 0 ? "passed" : "FAILED");
-  return failures == 0 ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // A client that disappears mid-reply must surface as EPIPE on the write,
-  // not kill the server (serve/netio.h's MSG_NOSIGNAL covers socket sends;
-  // this covers stdout and any straggler).
-  std::signal(SIGPIPE, SIG_IGN);
-  if (HasFlag(argc, argv, "--selftest")) return SelfTest(argc, argv);
+// Brings up the serving stack from the command-line flags — the manifest
+// (or single-checkpoint sugar), registry, service, telemetry exporter and,
+// with --socket, a listening SocketServer — and hands it to `body`.
+int RunServingStack(int argc, char** argv, const StackBody& body) {
   const std::string manifest_path = FlagValue(argc, argv, "--manifest");
   if (manifest_path.empty() && (argc < 2 || argv[1][0] == '-')) {
     Usage(argv[0]);
     return 2;
   }
+  const int64_t max_batch =
+      IntFlag(argc, argv, "--max-batch", serve::ManifestEntry().max_batch);
 
   serve::Manifest manifest;
   if (!manifest_path.empty()) {
@@ -746,7 +264,7 @@ int main(int argc, char** argv) {
     entry.horizon = IntFlag(argc, argv, "--horizon", entry.horizon);
     entry.model_dim = IntFlag(argc, argv, "--model-dim", entry.model_dim);
     entry.hidden_dim = IntFlag(argc, argv, "--hidden-dim", entry.hidden_dim);
-    entry.max_batch = IntFlag(argc, argv, "--max-batch", entry.max_batch);
+    entry.max_batch = max_batch;
     entry.max_inflight =
         IntFlag(argc, argv, "--max-inflight", entry.max_inflight);
     manifest.default_model = entry.name;
@@ -754,7 +272,7 @@ int main(int argc, char** argv) {
   }
 
   serve::MicroBatcherConfig bc;
-  bc.max_batch = IntFlag(argc, argv, "--max-batch", 8);
+  bc.max_batch = max_batch;
   bc.max_delay_us = IntFlag(argc, argv, "--max-delay-us", 2000);
   bc.num_workers = IntFlag(argc, argv, "--workers", 1);
 
@@ -800,9 +318,7 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   const std::string socket_path = FlagValue(argc, argv, "--socket");
-  if (socket_path.empty()) {
-    rc = ServeStdin(service);
-  } else {
+  if (!socket_path.empty()) {
     serve::SocketServerConfig sc;
     sc.path = socket_path;
     sc.max_conns = IntFlag(argc, argv, "--max-conns", sc.max_conns);
@@ -819,9 +335,285 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "listening on %s (max %lld connections)\n",
                    socket_path.c_str(), (long long)sc.max_conns);
-      socket_server->Run();
     }
   }
+  if (rc == 0) rc = body(registry, service, socket_server.get());
   exporter.Stop();
   return rc;
+}
+
+// --- blocking AF_UNIX client helpers (selftest) ----------------------------
+
+int ConnectUnix(const std::string& path) {
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  int rc;
+  do {
+    rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  } while (rc != 0 && errno == EINTR);
+  if (rc != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Sends one request line and reads exactly one '\n'-framed reply.
+std::string RoundTrip(int fd, const std::string& line) {
+  const std::string framed = line + "\n";
+  size_t sent = 0;
+  while (sent < framed.size()) {
+    const ssize_t w =
+        send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return "ERROR Internal: client write failed";
+    sent += static_cast<size_t>(w);
+  }
+  std::string reply;
+  char c;
+  for (;;) {
+    const ssize_t n = read(fd, &c, 1);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return "ERROR Internal: client read failed";
+    if (c == '\n') break;
+    reply.push_back(c);
+  }
+  return reply;
+}
+
+Tensor SelfTestSeries() {
+  SeriesConfig series_config;
+  series_config.name = "selftest";
+  series_config.length = 200;
+  series_config.seed = 21;
+  for (int c = 0; c < 2; ++c) {
+    ChannelSpec channel;
+    channel.level = 1.0 + c;
+    channel.seasonals.push_back({24.0, 1.0, 0.4 * c, 2});
+    channel.noise_sigma = 0.05;
+    series_config.channels.push_back(channel);
+  }
+  return GenerateSeries(series_config);
+}
+
+// The socket and stdin checks against the live stack; returns the number
+// of failures. `want` is the oracle's reply to the data line `line`.
+int DriveStack(serve::ModelRegistry& registry, serve::ModelService& service,
+               serve::SocketServer* socket, const std::string& ckpt,
+               const std::string& trace_path, const std::string& line,
+               const std::string& want) {
+  int failures = 0;
+  auto check = [&failures](bool ok, const std::string& what) {
+    if (!ok) {
+      std::fprintf(stderr, "selftest: %s\n", what.c_str());
+      ++failures;
+    }
+  };
+
+  // MSD_QUANT=1 must put the served plan on the int8 path, not leave every
+  // step on its fp32 fallback (tools/check.sh runs the selftest both ways).
+  serve::InferenceSession* session = registry.Get("").value()->session();
+  if (session->quantized()) {
+    const serve::CompiledPlan* plan = session->plan_for(1);
+    check(plan != nullptr && plan->stats().num_quantized > 0,
+          "MSD_QUANT=1 but the batch-1 plan adopted no int8 steps");
+  }
+
+  runtime::WorkerGroup loop_thread;
+  loop_thread.Start(1, [socket](int64_t) { socket->Run(); });
+  const int fd = ConnectUnix(socket->path());
+  check(fd >= 0, "socket connect failed");
+  if (fd >= 0) {
+    const std::string reply = RoundTrip(fd, line);
+    check(reply == want, "data reply differs from the oracle session:\n"
+                         "  got:  " + reply + "\n  want: " + want);
+
+    const std::string stats = RoundTrip(fd, "STATS");
+    obs::JsonValue stats_doc;
+    const obs::JsonValue* models = nullptr;
+    check(obs::JsonParse(stats, &stats_doc) &&
+              stats_doc.Find("requests_total") != nullptr &&
+              stats_doc.Find("e2e_us") != nullptr &&
+              (models = stats_doc.Find("models")) != nullptr &&
+              models->Find("default") != nullptr,
+          "bad STATS reply: " + stats);
+
+    const std::string list = RoundTrip(fd, "LIST");
+    obs::JsonValue list_doc;
+    check(obs::JsonParse(list, &list_doc) && list_doc.is_object() &&
+              list_doc.Find("default") != nullptr &&
+              list_doc.Find("default")->str == "default" &&
+              list_doc.Find("models") != nullptr &&
+              list_doc.Find("models")->array.size() == 1,
+          "bad LIST reply: " + list);
+
+    // TRACE: the dump parses and holds the three per-request phase spans.
+    const std::string trace_reply = RoundTrip(fd, "TRACE " + trace_path);
+    std::string trace_json;
+    obs::JsonValue trace_doc;
+    const obs::JsonValue* events = nullptr;
+    bool saw_queue = false, saw_assembly = false, saw_compute = false;
+    if (trace_reply.rfind("OK", 0) == 0 &&
+        ReadFileToString(trace_path, &trace_json) &&
+        obs::JsonParse(trace_json, &trace_doc) &&
+        (events = trace_doc.Find("traceEvents")) != nullptr &&
+        events->is_array()) {
+      for (const obs::JsonValue& event : events->array) {
+        const obs::JsonValue* name = event.Find("name");
+        if (name == nullptr || !name->is_string()) continue;
+        saw_queue = saw_queue || name->str == "queue";
+        saw_assembly = saw_assembly || name->str == "batch_assembly";
+        saw_compute = saw_compute || name->str == "compute";
+      }
+    }
+    check(saw_queue && saw_assembly && saw_compute,
+          "TRACE dump missing or without the request phase spans: " +
+              trace_reply);
+    std::remove(trace_path.c_str());
+
+    // RELOAD from the same checkpoint: v2 answers exactly what v1 did.
+    const std::string reload = RoundTrip(fd, "RELOAD default " + ckpt);
+    check(reload == "OK default v2", "RELOAD failed: " + reload);
+    check(RoundTrip(fd, line) == want, "post-RELOAD reply differs");
+    close(fd);
+  }
+  socket->Shutdown();
+  loop_thread.Join();
+
+  // The stdin front-end: an oversized line gets exactly one ERROR and the
+  // next line is answered normally.
+  std::FILE* in = std::tmpfile();
+  std::FILE* out = std::tmpfile();
+  check(in != nullptr && out != nullptr, "cannot create temp files");
+  if (in != nullptr && out != nullptr) {
+    const size_t max_line =
+        static_cast<size_t>(serve::SocketServerConfig().max_line_bytes);
+    std::string oversized;
+    while (oversized.size() <= max_line) oversized += "0.5,";
+    oversized += "0.5";
+    std::fprintf(in, "%s\n%s\n", oversized.c_str(), line.c_str());
+    std::rewind(in);
+    ServeStdin(service, in, out);
+    std::rewind(out);
+    const std::vector<std::string> lines = SplitLines(ReadAll(out));
+    check(lines.size() == 2 &&
+              lines[0].rfind("ERROR InvalidArgument", 0) == 0 &&
+              lines[1] == want,
+          "stdin front-end answered an oversized line with " +
+              std::to_string(lines.size()) + " replies, want 2");
+  }
+  if (in != nullptr) std::fclose(in);
+  if (out != nullptr) std::fclose(out);
+  return failures;
+}
+
+int SelfTest(int argc, char** argv) {
+  const Tensor series = SelfTestSeries();
+  ForecastPipelineConfig pc;
+  pc.lookback = 32;
+  pc.horizon = 8;
+  pc.trainer.epochs = 1;
+  pc.trainer.batch_size = 16;
+  pc.trainer.max_batches_per_epoch = 4;
+  pc.trainer.early_stop_patience = 0;
+  ForecastPipeline pipeline(pc, /*seed=*/5);
+  pipeline.Fit(series);
+
+  const std::string prefix =
+      "msd_serve_selftest_" + std::to_string(static_cast<int>(getpid()));
+  const std::string ckpt = prefix + ".msdckpt";
+  const std::string manifest_path = prefix + ".manifest";
+  const std::string trace_path = prefix + "_trace.json";
+  const std::string socket_path = "/tmp/" + prefix + ".sock";
+  if (!pipeline.Save(ckpt).ok()) {
+    std::fprintf(stderr, "selftest: checkpoint save failed\n");
+    return 1;
+  }
+  std::FILE* mf = std::fopen(manifest_path.c_str(), "w");
+  if (mf == nullptr) {
+    std::fprintf(stderr, "selftest: cannot write %s\n", manifest_path.c_str());
+    return 1;
+  }
+  std::fprintf(mf, "model name=default version=1 checkpoint=%s lookback=%lld "
+                   "horizon=%lld\n",
+               ckpt.c_str(), (long long)pc.lookback, (long long)pc.horizon);
+  std::fclose(mf);
+
+  // The oracle is a direct session over the same checkpoint, created under
+  // the same MSD_PLAN / MSD_QUANT environment. It sees exactly the bytes
+  // the server parses (the request line is %.6g-rounded), so a correct
+  // reply is byte-identical.
+  serve::ForecastSessionOptions options;
+  options.lookback = pc.lookback;
+  options.horizon = pc.horizon;
+  auto oracle = serve::CreateForecastSession(ckpt, options);
+  if (!oracle.ok()) {
+    std::fprintf(stderr, "selftest: oracle session failed: %s\n",
+                 oracle.status().ToString().c_str());
+    return 1;
+  }
+  const std::string line =
+      serve::FormatTensorLine(Slice(series, 1, 0, pc.lookback));
+  auto window = serve::ParseWindowLine(line, 0, 0);
+  auto predicted = oracle.value()->Predict(window.value());
+  if (!predicted.ok()) {
+    std::fprintf(stderr, "selftest: oracle predict failed: %s\n",
+                 predicted.status().ToString().c_str());
+    return 1;
+  }
+  const std::string want = serve::FormatTensorLine(predicted.value());
+
+  // Main's own flag path: --manifest, --socket, every request sampled so
+  // the TRACE dump is never empty, and the caller's --telemetry-out.
+  const std::string telemetry_path = FlagValue(argc, argv, "--telemetry-out");
+  std::vector<std::string> args = {argv[0],       "--manifest",
+                                   manifest_path, "--socket",
+                                   socket_path,   "--trace-sample",
+                                   "1"};
+  if (!telemetry_path.empty()) {
+    args.push_back("--telemetry-out");
+    args.push_back(telemetry_path);
+  }
+  std::vector<char*> stack_argv;
+  for (std::string& arg : args) stack_argv.push_back(arg.data());
+  int failures = RunServingStack(
+      static_cast<int>(stack_argv.size()), stack_argv.data(),
+      [&](serve::ModelRegistry& registry, serve::ModelService& service,
+          serve::SocketServer* socket) {
+        return DriveStack(registry, service, socket, ckpt, trace_path, line,
+                          want);
+      });
+  if (!telemetry_path.empty()) {
+    // At least the t=0 and flush-on-shutdown snapshots must be present.
+    failures += ValidateTelemetryFile(telemetry_path, /*min_lines=*/2);
+  }
+  std::remove(ckpt.c_str());
+  std::remove((ckpt + ".meta").c_str());
+  std::remove(manifest_path.c_str());
+  std::printf("selftest %s\n", failures == 0 ? "passed" : "FAILED");
+  return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A client that disappears mid-reply must surface as EPIPE on the write,
+  // not kill the server (serve/netio.h's MSG_NOSIGNAL covers socket sends;
+  // this covers stdout and any straggler).
+  std::signal(SIGPIPE, SIG_IGN);
+  if (HasFlag(argc, argv, "--selftest")) return SelfTest(argc, argv);
+  return RunServingStack(
+      argc, argv,
+      [](serve::ModelRegistry&, serve::ModelService& service,
+         serve::SocketServer* socket) {
+        if (socket != nullptr) {
+          socket->Run();
+          return 0;
+        }
+        std::fprintf(stderr, "ready: one request per line on stdin\n");
+        return ServeStdin(service, stdin, stdout);
+      });
 }
