@@ -166,6 +166,15 @@ std::vector<int> InPlaceCandidates(OpKind kind) {
   }
 }
 
+// `slot` when it holds `bytes`; else a new arena of that size, put in `slot`.
+std::shared_ptr<arena::Arena> ArenaOfAtLeast(
+    std::shared_ptr<arena::Arena>& slot, int64_t bytes) {
+  if (slot == nullptr || slot->bytes() < bytes) {
+    slot = std::make_shared<arena::Arena>(bytes);
+  }
+  return slot;
+}
+
 std::string JoinNames(const std::vector<std::string>& names) {
   std::string joined;
   for (const std::string& n : names) {
@@ -182,7 +191,7 @@ CompiledPlan::~CompiledPlan() = default;
 
 std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
     const ForwardFn& fn, const Tensor& example, std::string* why_not,
-    const CompileOptions& options) {
+    const CompileOptions& options, SharedArenas* shared) {
   MSD_CHECK(example.defined());
   auto fail = [why_not](std::string reason) -> std::unique_ptr<CompiledPlan> {
     if (why_not != nullptr) *why_not = std::move(reason);
@@ -466,8 +475,10 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
   }
 
   // ---- 7. Materialize the plan ---------------------------------------------
+  SharedArenas own;
+  SharedArenas& arenas = shared != nullptr ? *shared : own;
   std::unique_ptr<CompiledPlan> plan(new CompiledPlan());
-  plan->arena_ = std::make_unique<arena::Arena>(arena_bytes);
+  plan->arena_ = ArenaOfAtLeast(arenas.activations, arena_bytes);
   auto offset_of = [&](int slot) -> int64_t {
     const int r = region_of[static_cast<size_t>(slot)];
     MSD_CHECK_GE(r, 0);
@@ -557,12 +568,13 @@ std::unique_ptr<CompiledPlan> CompiledPlan::Compile(
   // Runs only after the fp32 plan has passed its memcmp gate, so every step
   // a candidate falls back to is the validated fp32 schedule.
   if (options.quantize) {
-    plan->QuantizePass(example, options.quant_max_rel_error);
+    plan->QuantizePass(example, options.quant_max_rel_error, arenas.quant);
   }
   return plan;
 }
 
-void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error) {
+void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error,
+                                std::shared_ptr<arena::Arena>& scratch) {
   // Eligible: a prepacked constant-weight rank-2 GEMM whose inner dimension
   // fits the int32 accumulator bound and that has any work at all. (s.b is
   // the pinned fp32 weight view; it stays defined alongside packed_b.)
@@ -587,8 +599,8 @@ void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error) {
   }
   if (max_aq_bytes == 0) return;
   quant_scales_offset_ = arena::AlignUp(max_aq_bytes);
-  quant_arena_ = std::make_unique<arena::Arena>(quant_scales_offset_ +
-                                                max_scale_bytes);
+  const int64_t scratch_bytes = quant_scales_offset_ + max_scale_bytes;
+  quant_arena_ = ArenaOfAtLeast(scratch, scratch_bytes);
 
   // Calibration replay: every step runs fp32 (so downstream candidates see
   // exact fp32 inputs and per-step error never compounds); each candidate
@@ -639,7 +651,7 @@ void CompiledPlan::QuantizePass(const Tensor& example, float max_rel_error) {
     quant_scales_offset_ = 0;
     return;
   }
-  stats_.quant_arena_bytes = quant_arena_->bytes();
+  stats_.quant_arena_bytes = arena::AlignUp(scratch_bytes);
 }
 
 // msd-hot-path: one schedule step — the kernel dispatch shared by Execute

@@ -5,12 +5,12 @@
 // (tensor/optrace.h), flattens it into a static schedule of kernel calls
 // with fully resolved shapes, rewrites fusible pairs into the fused kernels
 // (SubDiv / MulAdd / SliceSub), runs lifetime analysis over every traced
-// buffer, and packs all intermediates into ONE arena allocation with
-// first-fit offset reuse. Execute() then replays the schedule into the
-// preplanned arena views: no pool lookups, no tensor allocations, no
-// shared_ptr churn per op — the only steady-state costs outside the kernels
-// themselves are two memcpys (input staging, result export) and one
-// control block for the reply tensor's owner.
+// buffer, and packs all intermediates into ONE arena with first-fit offset
+// reuse — one arena per session, which its plans share. Execute() then
+// replays the schedule into the preplanned arena views: no pool lookups, no
+// tensor allocations, no shared_ptr churn per op — the only steady-state
+// costs outside the kernels themselves are two memcpys (input staging,
+// result export) and one control block for the reply tensor's owner.
 //
 // Correctness contract: Execute(x) is bit-identical (memcmp) to the
 // interpreted forward it was traced from, for any MSD_THREADS value. The
@@ -21,9 +21,12 @@
 // bits (tensor/kernels.h Zip3KernelInto). tests/plan_test.cc sweeps the
 // contract across task heads, thread counts, and batch sizes.
 //
-// Thread safety: Execute mutates the arena, so calls on one plan must be
-// serialized — the owning InferenceSession's model mutex is the exclusion
-// domain, exactly as for the interpreted path.
+// Thread safety: Execute mutates the arena, so replays into one arena must
+// be serialized. The plans of a session share one arena (SharedArenas), and
+// that is safe: every one of them runs under the session's model mutex;
+// Execute stages the input and exports the reply into a result block before
+// that lock is released; and no step reads an arena byte it did not write in
+// the same replay.
 #ifndef MSDMIXER_SERVE_PLAN_H_
 #define MSDMIXER_SERVE_PLAN_H_
 
@@ -48,10 +51,10 @@ struct PlanStats {
   int64_t num_inplace = 0;   // outputs aliased onto a dying operand's region
   int64_t num_prepacked = 0;  // constant GEMM weights packed at freeze time
   int64_t num_regions = 0;   // arena regions after aliasing
-  int64_t arena_bytes = 0;   // single allocation backing all regions
+  int64_t arena_bytes = 0;   // bytes the region layout needs
   int64_t num_quantized = 0;        // GEMM steps rewritten to int8
   int64_t num_quant_fallbacks = 0;  // candidates kept fp32 by calibration
-  int64_t quant_arena_bytes = 0;    // activation-quant scratch arena
+  int64_t quant_arena_bytes = 0;    // activation-quant scratch needed
 };
 
 // Knobs for CompiledPlan::Compile. Defaults reproduce the fp32 plan exactly.
@@ -77,6 +80,14 @@ struct RegionInfo {
   int64_t last_use = 0;    // latest reading step (num_ops: plan output)
 };
 
+// The arenas a session's plans share. Compile builds into each one that is
+// large enough and otherwise replaces it with a larger arena; plans built
+// earlier keep theirs alive.
+struct SharedArenas {
+  std::shared_ptr<arena::Arena> activations;
+  std::shared_ptr<arena::Arena> quant;
+};
+
 class CompiledPlan {
  public:
   // The forward to freeze: takes the request batch, returns the reply.
@@ -92,15 +103,17 @@ class CompiledPlan {
   // its output stays within options.quant_max_rel_error of the fp32 step
   // (per-step fallback otherwise) — so a quantized plan's fp32 remainder is
   // still the validated schedule, and the bit-identity contract narrows to
-  // "identical except the adopted int8 steps".
+  // "identical except the adopted int8 steps". With `shared` null the plan
+  // owns its arenas; otherwise they come from (and grow) `shared`.
   static std::unique_ptr<CompiledPlan> Compile(
       const ForwardFn& fn, const Tensor& example,
       std::string* why_not = nullptr,
-      const CompileOptions& options = CompileOptions());
+      const CompileOptions& options = CompileOptions(),
+      SharedArenas* shared = nullptr);
 
   // Replays the schedule on `input` (must match input_shape()). The reply
   // tensor is backed by a recycled result block, not the tensor pool.
-  // Callers must serialize calls per plan (see thread-safety note above).
+  // Callers must serialize calls per arena (see thread-safety note above).
   Tensor Execute(const Tensor& input);
 
   const PlanStats& stats() const { return stats_; }
@@ -136,7 +149,8 @@ class CompiledPlan {
   // and adopts candidates within `max_rel_error` of their fp32 output.
   // Calibration always compares against fp32 *inputs* (the replay keeps
   // fp32 results in the arena), so per-step error never compounds.
-  void QuantizePass(const Tensor& example, float max_rel_error);
+  void QuantizePass(const Tensor& example, float max_rel_error,
+                    std::shared_ptr<arena::Arena>& scratch);
 
   Tensor input_view_;   // staging region, input_shape_
   Tensor output_view_;  // final region, output_shape_
@@ -146,11 +160,11 @@ class CompiledPlan {
   // Pinned constant tensors (weights, scaler stats, traced literals); holding
   // them keeps every non-arena operand buffer alive for the plan's lifetime.
   std::vector<Tensor> constants_;
-  std::unique_ptr<arena::Arena> arena_;
+  std::shared_ptr<arena::Arena> arena_;
   // Activation-quant scratch shared by every quantized step (a quantized
   // activation dies within its own step, so one arena sized for the largest
   // step suffices): int16 rows at offset 0, per-row scales above them.
-  std::unique_ptr<arena::Arena> quant_arena_;
+  std::shared_ptr<arena::Arena> quant_arena_;
   int64_t quant_scales_offset_ = 0;  // byte offset of the scale block
   std::shared_ptr<ResultPool> results_;
   PlanStats stats_;

@@ -267,8 +267,8 @@ Status ServedModel::SubmitAsync(Tensor window, ResultCallback done,
 }
 
 // msd-hot-path-safe: session construction is a swap-time chokepoint —
-// checkpoint restore, warmup and plan freezing allocate by design and never
-// run per-request; audited here so the hot-path scan does not descend.
+// checkpoint restore and plan freezing allocate by design and never run
+// per-request; audited here so the hot-path scan does not descend.
 StatusOr<std::shared_ptr<ServedModel>> CreateServedModel(
     const ManifestEntry& entry, const MicroBatcherConfig& batcher_config) {
   ForecastSessionOptions options;

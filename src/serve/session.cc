@@ -1,5 +1,6 @@
 #include "serve/session.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
@@ -34,15 +35,7 @@ StatusOr<std::unique_ptr<InferenceSession>> InferenceSession::Create(
   Status loaded = LoadCheckpoint(*session->mixer_, checkpoint_path);
   if (!loaded.ok()) return loaded;
   session->mixer_->SetTraining(false);
-  if (config.warmup) {
-    // Full-size batch primes every pool size class the steady state needs;
-    // requests after this never touch the system allocator.
-    StatusOr<Tensor> warm = session->PredictBatch(Tensor::Zeros(
-        {config.max_batch, config.model.channels, config.model.input_length}));
-    if (!warm.ok()) return warm.status();
-  }
-  // Freeze-time planning runs after warmup so the interpreter fallback keeps
-  // a primed pool. MSD_PLAN=0 pins the session to the interpreted path.
+  // MSD_PLAN=0 pins the session to the interpreted path.
   const char* plan_env = std::getenv("MSD_PLAN");
   session->use_plan_ = plan_env == nullptr || std::string(plan_env) != "0";
   // MSD_QUANT, when set, overrides the config field: "0" pins fp32, any
@@ -76,10 +69,22 @@ Status InferenceSession::ValidateBatch(const Tensor& batch) const {
   return Status::OK();
 }
 
-Tensor InferenceSession::RunFrozen(const Tensor& batch) {
-  MSD_SPAN("serve/predict_batch");
-  std::lock_guard<std::mutex> lock(model_mu_);
+Tensor InferenceSession::Interpret(const Tensor& batch) {
   NoGradGuard guard;
+  const Tensor scaled =
+      config_.scaler.fitted() ? config_.scaler.Transform(batch) : batch;
+  Tensor out = mixer_->Run(Variable(scaled)).prediction.value();
+  if (config_.model.task == TaskType::kForecast && config_.scaler.fitted()) {
+    out = config_.scaler.InverseTransform(out);
+  }
+  return out;
+}
+
+Tensor InferenceSession::RunLocked(CompiledPlan* plan, const Tensor& batch) {
+  MSD_SPAN("serve/predict_batch");
+  // The session mutex is also the exclusion domain of every plan and of the
+  // arena they share (serve/plan.h).
+  std::lock_guard<std::mutex> lock(model_mu_);
   if (config_.synthetic_compute_us > 0) {
     // Busy-spin (not sleep) so the emulated slow model occupies the forward
     // pass exactly like real compute would, lock held and all.
@@ -88,58 +93,39 @@ Tensor InferenceSession::RunFrozen(const Tensor& batch) {
     while (ServeClock::now() < until) {
     }
   }
-  return mixer_->Run(Variable(batch)).prediction.value();
-}
-
-Tensor InferenceSession::RunPlanned(CompiledPlan& plan, const Tensor& batch) {
-  MSD_SPAN("serve/predict_batch");
-  // The session mutex is the plan's exclusion domain: Execute mutates the
-  // arena, so planned forwards serialize exactly like interpreted ones.
-  std::lock_guard<std::mutex> lock(model_mu_);
-  if (config_.synthetic_compute_us > 0) {
-    const auto until = ServeClock::now() +
-                       std::chrono::microseconds(config_.synthetic_compute_us);
-    while (ServeClock::now() < until) {
-    }
-  }
-  return plan.Execute(batch);
+  return plan != nullptr ? plan->Execute(batch) : Interpret(batch);
 }
 
 void InferenceSession::BuildPlans() {
+  // Random (not zero) example inputs so the freeze-time memcmp validation
+  // cannot pass by accident on degenerate all-zero intermediates. Batch b's
+  // example is the b-th draw, so the draws run in ascending order.
   Rng rng(config_.seed + 1);
+  std::vector<Tensor> examples;
+  for (int64_t b = 1; b <= config_.max_batch; ++b) {
+    examples.push_back(Tensor::RandNormal(
+        {b, config_.model.channels, config_.model.input_length}, 0.0f, 1.0f,
+        rng));
+  }
   plans_.resize(static_cast<size_t>(config_.max_batch));
-  int64_t total_arena = 0;
-  int64_t total_quant_arena = 0;
+  int64_t arena_bytes = 0;
+  int64_t quant_arena_bytes = 0;
   CompileOptions options;
   options.quantize = use_quant_;
   options.quant_max_rel_error = config_.quant_max_rel_error;
-  for (int64_t b = 1; b <= config_.max_batch; ++b) {
-    // Random (not zero) example inputs so the freeze-time memcmp validation
-    // cannot pass by accident on degenerate all-zero intermediates.
-    Tensor example = Tensor::RandNormal(
-        {b, config_.model.channels, config_.model.input_length}, 0.0f, 1.0f,
-        rng);
+  // Largest batch first, so the first arena allocated is the largest and
+  // every smaller plan builds its views into that same one.
+  SharedArenas arenas;
+  for (int64_t b = config_.max_batch; b >= 1; --b) {
     std::string why_not;
     plans_[static_cast<size_t>(b) - 1] = CompiledPlan::Compile(
-        [this](const Tensor& in) {
-          NoGradGuard guard;
-          // The plan covers the whole reply chain, not just the module
-          // graph: normalize, forward, and (for forecast heads)
-          // denormalize all freeze into one schedule.
-          const Tensor scaled =
-              config_.scaler.fitted() ? config_.scaler.Transform(in) : in;
-          Tensor out = mixer_->Run(Variable(scaled)).prediction.value();
-          if (config_.model.task == TaskType::kForecast &&
-              config_.scaler.fitted()) {
-            out = config_.scaler.InverseTransform(out);
-          }
-          return out;
-        },
-        example, &why_not, options);
+        [this](const Tensor& in) { return Interpret(in); },
+        examples[static_cast<size_t>(b) - 1], &why_not, options, &arenas);
     const CompiledPlan* plan = plans_[static_cast<size_t>(b) - 1].get();
     if (plan != nullptr) {
-      total_arena += plan->stats().arena_bytes;
-      total_quant_arena += plan->stats().quant_arena_bytes;
+      arena_bytes = std::max(arena_bytes, plan->stats().arena_bytes);
+      quant_arena_bytes =
+          std::max(quant_arena_bytes, plan->stats().quant_arena_bytes);
       if (use_quant_) {
         // Freeze-time facts, surfaced once per plan: how many GEMM steps
         // adopted int8 and how many the calibration gate kept fp32.
@@ -161,10 +147,10 @@ void InferenceSession::BuildPlans() {
   }
   obs::MetricsRegistry::Global()
       .GetGauge("serve/arena_bytes")
-      .Set(static_cast<double>(total_arena));
+      .Set(static_cast<double>(arena_bytes));
   obs::MetricsRegistry::Global()
       .GetGauge("serve/quant_arena_bytes")
-      .Set(static_cast<double>(total_quant_arena));
+      .Set(static_cast<double>(quant_arena_bytes));
 }
 
 // msd-hot-path: the serving inference entry point.
@@ -181,26 +167,14 @@ StatusOr<Tensor> InferenceSession::PredictBatch(const Tensor& batch,
     trace = &local;
   }
   trace->compute_start = ServeClock::now();
-  Tensor out;
   CompiledPlan* plan =
       use_plan_ ? plans_[static_cast<size_t>(batch.dim(0)) - 1].get() : nullptr;
-  if (plan != nullptr) {
-    // The frozen schedule bakes in the scaler transform (and, for forecast
-    // heads, the inverse transform) — the raw batch goes straight in.
-    out = RunPlanned(*plan, batch);
-  } else {
-    if (use_plan_) {
-      static obs::Counter& fallbacks =
-          obs::MetricsRegistry::Global().GetCounter("serve/plan_fallbacks");
-      fallbacks.Add(1);
-    }
-    const Tensor scaled =
-        config_.scaler.fitted() ? config_.scaler.Transform(batch) : batch;
-    out = RunFrozen(scaled);
-    if (config_.model.task == TaskType::kForecast && config_.scaler.fitted()) {
-      out = config_.scaler.InverseTransform(out);
-    }
+  if (use_plan_ && plan == nullptr) {
+    static obs::Counter& fallbacks =
+        obs::MetricsRegistry::Global().GetCounter("serve/plan_fallbacks");
+    fallbacks.Add(1);
   }
+  Tensor out = RunLocked(plan, batch);
   trace->compute_end = ServeClock::now();
   if (direct) {
     Instruments().compute_us.Observe(static_cast<double>(
@@ -236,9 +210,11 @@ StatusOr<Tensor> InferenceSession::AnomalyScores(const Tensor& batch) {
   }
   Status valid = ValidateBatch(batch);
   if (!valid.ok()) return valid;
+  // Reconstruction heads stay in scaled units, so Interpret is the raw
+  // reconstruction of the scaled batch.
+  Tensor recon = RunLocked(nullptr, batch);
   const Tensor scaled =
       config_.scaler.fitted() ? config_.scaler.Transform(batch) : batch;
-  Tensor recon = RunFrozen(scaled);
   // Per-window mean squared reconstruction error — the quantity the anomaly
   // protocol (tasks/evaluate.h) thresholds.
   return Mean(Square(Sub(recon, scaled)), {1, 2}, /*keepdim=*/false);

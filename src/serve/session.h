@@ -1,17 +1,13 @@
 // Frozen inference session (docs/SERVING.md).
 //
 // An InferenceSession owns an eval-mode MSD-Mixer restored from an MSDCKPT
-// checkpoint and answers Predict requests with no autograd tape, no weight
-// mutation, and pool-recycled activation buffers:
+// checkpoint and answers Predict requests with no autograd tape and no
+// weight mutation:
 //
 //  * Frozen: weights load once at Create(); SetTraining(false) is applied
 //    immediately and every forward runs under NoGradGuard, so no request
 //    can record a tape or touch gradients (regression-tested via the
 //    autograd/nodes_recorded counter).
-//  * Pool-backed: the session holds a pool::MemoryScope for its lifetime and
-//    runs a warmup batch at Create(), so steady-state requests draw every
-//    activation buffer from the size-class free lists instead of the system
-//    allocator.
 //  * Thread-safe: concurrent PredictBatch calls are serialized on an
 //    internal mutex. Within a batch the GEMM engine already spreads work
 //    across the MSD_THREADS pool, so inter-batch concurrency adds nothing
@@ -20,12 +16,13 @@
 //    for any batch composition — row b of PredictBatch equals the
 //    single-request Predict of window b (tests/serve_test.cc).
 //  * Planned: unless MSD_PLAN=0, Create() freezes one CompiledPlan per batch
-//    size (1..max_batch) — a flat kernel schedule over a single arena
-//    allocation (serve/plan.h, docs/COMPILER.md) — and PredictBatch replays
-//    the plan instead of interpreting the module graph. Planned outputs are
-//    bit-identical to the interpreted path (enforced by a freeze-time
-//    memcmp and swept in tests/plan_test.cc); batch sizes whose plan could
-//    not be built fall back to the interpreter (serve/plan_fallbacks).
+//    size (1..max_batch) — a flat kernel schedule over one arena that all
+//    of the session's plans share (serve/plan.h, docs/COMPILER.md) — and
+//    PredictBatch replays the plan instead of interpreting the module graph.
+//    Planned outputs are bit-identical to the interpreted path (enforced by
+//    a freeze-time memcmp and swept in tests/plan_test.cc); batch sizes
+//    whose plan could not be built fall back to the interpreter
+//    (serve/plan_fallbacks).
 //
 // Shape contract per task head (C = channels, L = input_length):
 //   kForecast        [C, L] -> [C, horizon]        (original units)
@@ -45,7 +42,6 @@
 #include "data/scaler.h"
 #include "serve/plan.h"
 #include "serve/trace.h"
-#include "tensor/pool.h"
 
 namespace msd {
 namespace serve {
@@ -57,10 +53,8 @@ struct InferenceSessionConfig {
   // Optional per-channel standardization applied to inputs; forecast
   // outputs are mapped back through InverseTransform. Unfitted = identity.
   StandardScaler scaler;
-  // Upper bound on rows per PredictBatch call; also the warmup batch size.
+  // Upper bound on rows per PredictBatch call.
   int64_t max_batch = 32;
-  // Run one full-size batch at Create() to prime the tensor pool.
-  bool warmup = true;
   // Seed for the throwaway weight init that the checkpoint overwrites.
   uint64_t seed = 1;
   // Test/bench hook: busy-spin this long inside the locked forward pass to
@@ -80,7 +74,7 @@ struct InferenceSessionConfig {
 
 class InferenceSession {
  public:
-  // Builds the model, restores `checkpoint_path`, freezes, warms up.
+  // Builds the model, restores `checkpoint_path`, freezes, plans.
   static StatusOr<std::unique_ptr<InferenceSession>> Create(
       const InferenceSessionConfig& config, const std::string& checkpoint_path);
 
@@ -125,25 +119,25 @@ class InferenceSession {
   explicit InferenceSession(const InferenceSessionConfig& config);
 
   Status ValidateBatch(const Tensor& batch) const;
-  // The locked, NoGradGuard-protected forward pass; `batch` is [B, C, L]
-  // in scaled units and the result is the raw head output.
-  Tensor RunFrozen(const Tensor& batch);
-  // The locked planned forward: replays the frozen schedule (which bakes in
-  // the scaler transform and, for forecast heads, the inverse transform).
-  Tensor RunPlanned(CompiledPlan& plan, const Tensor& batch);
-  // Freezes one CompiledPlan per batch size 1..max_batch and publishes the
-  // serve/arena_bytes gauge. Sizes that refuse to compile stay null.
+  // The reply chain, interpreted under NoGradGuard: scale the raw [B, C, L]
+  // batch, run the mixer, and (forecast heads) map the output back through
+  // the inverse transform. Every plan is traced from exactly this function.
+  Tensor Interpret(const Tensor& batch);
+  // The locked forward pass: replays `plan` when given, else runs
+  // Interpret.
+  Tensor RunLocked(CompiledPlan* plan, const Tensor& batch);
+  // Freezes one CompiledPlan per batch size 1..max_batch into one shared
+  // arena and publishes the serve/arena_bytes gauge. Sizes that refuse to
+  // compile stay null.
   void BuildPlans();
 
   InferenceSessionConfig config_;
-  // Keeps the activation free-lists alive between requests.
-  pool::MemoryScope memory_scope_;
   std::unique_ptr<MsdMixer> mixer_;
   std::mutex model_mu_;
   bool use_plan_ = false;
   // Resolved quantization request (config.quantize / MSD_QUANT override).
   bool use_quant_ = false;
-  // Index b-1 serves batch size b; null entries fall back to RunFrozen.
+  // Index b-1 serves batch size b; null entries fall back to Interpret.
   std::vector<std::unique_ptr<CompiledPlan>> plans_;
 };
 

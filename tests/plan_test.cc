@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -117,7 +118,9 @@ Tensor RandomBatch(uint64_t seed, int64_t b) {
 
 // The hard contract: for every task head, the planned forward is memcmp-
 // identical to the interpreted one, at every supported batch size and for
-// MSD_THREADS 1 and 4.
+// MSD_THREADS 1 and 4. The batch sizes interleave because a session's plans
+// share one arena: each call runs over bytes another plan wrote last, and
+// an earlier reply must survive the later calls byte for byte.
 TEST(PlanBitIdentityTest, MatchesInterpreterAcrossTasksThreadsAndBatches) {
   const TaskType tasks[] = {TaskType::kForecast, TaskType::kClassification,
                             TaskType::kReconstruction};
@@ -127,9 +130,13 @@ TEST(PlanBitIdentityTest, MatchesInterpreterAcrossTasksThreadsAndBatches) {
     auto interp = MakeSession(task, /*planned=*/false, /*max_batch=*/4);
     ASSERT_TRUE(planned->planned());
     ASSERT_FALSE(interp->planned());
-    for (int64_t b : {int64_t{1}, int64_t{4}}) {
+    const int64_t sequence[] = {4, 1, 3, 1, 4};
+    Tensor first_reply;
+    Tensor first_snapshot;
+    for (size_t call = 0; call < std::size(sequence); ++call) {
+      const int64_t b = sequence[call];
       ASSERT_NE(planned->plan_for(b), nullptr) << "batch " << b;
-      const Tensor batch = RandomBatch(7 + static_cast<uint64_t>(b), b);
+      const Tensor batch = RandomBatch(7 + call, b);
       Tensor out1, out4;
       {
         runtime::ScopedThreads threads(1);
@@ -151,7 +158,13 @@ TEST(PlanBitIdentityTest, MatchesInterpreterAcrossTasksThreadsAndBatches) {
       }
       EXPECT_TRUE(BitIdentical(out1, out4))
           << "planned output depends on thread count, batch " << b;
+      if (call == 0) {
+        first_reply = out1;
+        first_snapshot = out1.Clone();
+      }
     }
+    EXPECT_TRUE(BitIdentical(first_reply, first_snapshot))
+        << "a later call through the shared arena changed an earlier reply";
   }
 }
 
@@ -208,6 +221,16 @@ TEST(PlanStructureTest, FusionAndInPlaceReuseFire) {
 TEST(PlanStructureTest, RegionsWithOverlappingLifetimesAreDisjoint) {
   auto session = MakeSession(TaskType::kForecast, /*planned=*/true, 3,
                              /*with_scaler=*/true, "regions");
+  // The plans share one arena, so the gauge reports the largest plan's
+  // layout, not a sum over batch sizes.
+  int64_t largest = 0;
+  for (int64_t b = 1; b <= 3; ++b) {
+    ASSERT_NE(session->plan_for(b), nullptr);
+    largest = std::max(largest, session->plan_for(b)->stats().arena_bytes);
+  }
+  EXPECT_EQ(
+      obs::MetricsRegistry::Global().GetGauge("serve/arena_bytes").value(),
+      static_cast<double>(largest));
   for (int64_t b = 1; b <= 3; ++b) {
     const serve::CompiledPlan* plan = session->plan_for(b);
     ASSERT_NE(plan, nullptr);
@@ -243,7 +266,7 @@ TEST(PlanSteadyStateTest, PlannedPathDoesNotTouchTheTensorPool) {
   auto session = MakeSession(TaskType::kForecast, /*planned=*/true, 2,
                              /*with_scaler=*/true, "pool");
   const Tensor batch = RandomBatch(31, 2);
-  // One call beyond warmup settles the result-block free list.
+  // One call before counting settles the result-block free list.
   ASSERT_TRUE(session->PredictBatch(batch).ok());
   obs::Counter& hits =
       obs::MetricsRegistry::Global().GetCounter("tensor/pool_hits");

@@ -414,8 +414,8 @@ TEST(MicroBatcherTest, TimingDecompositionSeparatesQueueFromCompute) {
   config.num_workers = 1;
   serve::MicroBatcher batcher(session.get(), config);
   batcher.Start();
-  // Session creation runs a warmup forward that records its own compute
-  // span; drop it so the snapshot below holds exactly our three requests.
+  // Drop spans left by earlier tests so the snapshot below holds exactly
+  // our three requests.
   ring.Clear();
 
   const int64_t queue_before = serve::Instruments().queue_us.count();

@@ -8,7 +8,7 @@
 #                 report plus --json, which must parse); any unsuppressed
 #                 finding fails the leg. The run also asserts hot-path BFS
 #                 coverage of the planner executor (--require-reachable
-#                 CompiledPlan::Execute / InferenceSession::RunPlanned), of
+#                 CompiledPlan::Execute / InferenceSession::RunLocked), of
 #                 the int8 kernel entry points (QGemmPrepacked /
 #                 QuantizeActivationsPerRow), and of the multi-tenant serving
 #                 core (SocketServer::Run, the epoll loop root, and
@@ -235,7 +235,7 @@ for leg in "${LEGS[@]}"; do
       note "leg analyze: msd_analyze over src/"
       json="${builddir}/analyze_report.json"
       if ! "${builddir}/tools/msd_analyze" --json \
-          --require-reachable "InferenceSession::RunPlanned" \
+          --require-reachable "InferenceSession::RunLocked" \
           --require-reachable "CompiledPlan::Execute" \
           --require-reachable "QGemmPrepacked" \
           --require-reachable "QuantizeActivationsPerRow" \

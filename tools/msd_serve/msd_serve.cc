@@ -90,6 +90,41 @@ std::string FlagValue(int argc, char** argv, const std::string& flag) {
   return "";
 }
 
+// Every numeric flag and the least value it accepts. They are checked before
+// anything is built, so a bad value gets usage instead of an MSD_CHECK abort.
+struct IntFlagSpec {
+  const char* name;
+  int64_t min;
+};
+constexpr IntFlagSpec kIntFlags[] = {
+    {"--lookback", 1},      {"--horizon", 1},
+    {"--model-dim", 1},     {"--hidden-dim", 1},
+    {"--max-batch", 1},     {"--max-inflight", 0},
+    {"--max-delay-us", 0},  {"--workers", 1},
+    {"--max-conns", 1},     {"--backlog", 1},
+    {"--trace-sample", 0},  {"--telemetry-interval-ms", 1},
+};
+
+// True when every numeric flag present is a whole decimal integer (no
+// trailing characters, no overflow) at or above its minimum; otherwise
+// names the first bad one on stderr.
+bool IntFlagsValid(int argc, char** argv) {
+  for (const IntFlagSpec& spec : kIntFlags) {
+    const std::string v = FlagValue(argc, argv, spec.name);
+    if (v.empty()) continue;
+    errno = 0;
+    char* end = nullptr;
+    const long long parsed = std::strtoll(v.c_str(), &end, 10);
+    if (errno != 0 || end == v.c_str() || *end != '\0' || parsed < spec.min) {
+      std::fprintf(stderr, "%s needs an integer >= %lld, got '%s'\n",
+                   spec.name, (long long)spec.min, v.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+// A numeric flag's value; IntFlagsValid has checked it.
 int64_t IntFlag(int argc, char** argv, const std::string& flag,
                 int64_t fallback) {
   const std::string v = FlagValue(argc, argv, flag);
@@ -233,7 +268,8 @@ using StackBody = std::function<int(
 // with --socket, a listening SocketServer — and hands it to `body`.
 int RunServingStack(int argc, char** argv, const StackBody& body) {
   const std::string manifest_path = FlagValue(argc, argv, "--manifest");
-  if (manifest_path.empty() && (argc < 2 || argv[1][0] == '-')) {
+  if ((manifest_path.empty() && (argc < 2 || argv[1][0] == '-')) ||
+      !IntFlagsValid(argc, argv)) {
     Usage(argv[0]);
     return 2;
   }
