@@ -12,9 +12,9 @@ namespace {
 
 using NodePtr = std::shared_ptr<AutogradNode>;
 
-// Creates the result node; records parents + backward closure only when
-// recording is enabled and some parent participates in gradients.
-Variable MakeOp(Tensor value, std::vector<NodePtr> parents,
+// Creates the result node; records parents, backward closure and its span
+// label `kind` only when recording and some parent takes gradients.
+Variable MakeOp(const char* kind, Tensor value, std::vector<NodePtr> parents,
                 std::function<void(AutogradNode&)> backward) {
   static obs::Counter& nodes_created =
       obs::MetricsRegistry::Global().GetCounter("autograd/nodes_created");
@@ -50,16 +50,18 @@ Variable MakeOp(Tensor value, std::vector<NodePtr> parents,
 #endif
     node->parents = std::move(parents);
     node->backward_fn = std::move(backward);
+    node->kind = kind;
   }
   return Variable(std::move(node));
 }
 
 template <typename F>
-Variable UnaryFromGrad(const Variable& a, Tensor value, F local_grad) {
+Variable UnaryFromGrad(const char* kind, const Variable& a, Tensor value,
+                       F local_grad) {
   // local_grad: () -> Tensor, the elementwise dvalue/da (computed lazily so
   // inference pays nothing).
   NodePtr na = a.node();
-  return MakeOp(std::move(value), {na},
+  return MakeOp(kind, std::move(value), {na},
                 [na, local_grad](AutogradNode& self) {
                   AccumulateGrad(*na, Mul(self.grad, local_grad()));
                 });
@@ -70,8 +72,8 @@ Variable UnaryFromGrad(const Variable& a, Tensor value, F local_grad) {
 Variable Add(const Variable& a, const Variable& b) {
   NodePtr na = a.node();
   NodePtr nb = b.node();
-  return MakeOp(Add(a.value(), b.value()), {na, nb},
-                [na, nb](AutogradNode& self) {
+  return MakeOp("autograd/backward/add", Add(a.value(), b.value()),
+                {na, nb}, [na, nb](AutogradNode& self) {
                   AccumulateGrad(*na, self.grad);
                   AccumulateGrad(*nb, self.grad);
                 });
@@ -80,116 +82,147 @@ Variable Add(const Variable& a, const Variable& b) {
 Variable Sub(const Variable& a, const Variable& b) {
   NodePtr na = a.node();
   NodePtr nb = b.node();
-  return MakeOp(Sub(a.value(), b.value()), {na, nb},
-                [na, nb](AutogradNode& self) {
+  return MakeOp("autograd/backward/sub", Sub(a.value(), b.value()),
+                {na, nb}, [na, nb](AutogradNode& self) {
                   AccumulateGrad(*na, self.grad);
-                  AccumulateGrad(*nb, Neg(self.grad));
+                  if (nb->requires_grad) AccumulateGrad(*nb, Neg(self.grad));
                 });
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
   NodePtr na = a.node();
   NodePtr nb = b.node();
-  return MakeOp(Mul(a.value(), b.value()), {na, nb},
-                [na, nb](AutogradNode& self) {
-                  AccumulateGrad(*na, Mul(self.grad, nb->value));
-                  AccumulateGrad(*nb, Mul(self.grad, na->value));
+  return MakeOp("autograd/backward/mul", Mul(a.value(), b.value()),
+                {na, nb}, [na, nb](AutogradNode& self) {
+                  if (na->requires_grad) {
+                    AccumulateGrad(*na, Mul(self.grad, nb->value));
+                  }
+                  if (nb->requires_grad) {
+                    AccumulateGrad(*nb, Mul(self.grad, na->value));
+                  }
                 });
 }
 
 Variable Div(const Variable& a, const Variable& b) {
   NodePtr na = a.node();
   NodePtr nb = b.node();
-  return MakeOp(Div(a.value(), b.value()), {na, nb},
-                [na, nb](AutogradNode& self) {
-                  AccumulateGrad(*na, Div(self.grad, nb->value));
-                  // d/db (a/b) = -a / b^2
-                  AccumulateGrad(
-                      *nb, Neg(Div(Mul(self.grad, na->value),
-                                   Square(nb->value))));
+  return MakeOp("autograd/backward/div", Div(a.value(), b.value()),
+                {na, nb}, [na, nb](AutogradNode& self) {
+                  if (na->requires_grad) {
+                    AccumulateGrad(*na, Div(self.grad, nb->value));
+                  }
+                  if (nb->requires_grad) {
+                    // d/db (a/b) = -a / b^2
+                    AccumulateGrad(*nb, Neg(Div(Mul(self.grad, na->value),
+                                                Square(nb->value))));
+                  }
                 });
 }
 
 Variable AddScalar(const Variable& a, float s) {
   NodePtr na = a.node();
-  return MakeOp(AddScalar(a.value(), s), {na}, [na](AutogradNode& self) {
-    AccumulateGrad(*na, self.grad);
-  });
+  return MakeOp("autograd/backward/add_scalar", AddScalar(a.value(), s),
+                {na}, [na](AutogradNode& self) {
+                  AccumulateGrad(*na, self.grad);
+                });
 }
 
 Variable MulScalar(const Variable& a, float s) {
   NodePtr na = a.node();
-  return MakeOp(MulScalar(a.value(), s), {na}, [na, s](AutogradNode& self) {
-    AccumulateGrad(*na, MulScalar(self.grad, s));
-  });
+  return MakeOp("autograd/backward/mul_scalar", MulScalar(a.value(), s),
+                {na}, [na, s](AutogradNode& self) {
+                  AccumulateGrad(*na, MulScalar(self.grad, s));
+                });
 }
 
 Variable Neg(const Variable& a) { return MulScalar(a, -1.0f); }
 
 Variable Exp(const Variable& a) {
   Tensor y = Exp(a.value());
-  return UnaryFromGrad(a, y, [y]() { return y; });
+  return UnaryFromGrad("autograd/backward/exp", a, y, [y]() { return y; });
 }
 
 Variable Log(const Variable& a) {
   Tensor x = a.value();
-  return UnaryFromGrad(a, Log(x), [x]() {
+  return UnaryFromGrad("autograd/backward/log", a, Log(x), [x]() {
     return Div(Tensor::Ones(x.shape()), x);
   });
 }
 
 Variable Sqrt(const Variable& a) {
   Tensor y = Sqrt(a.value());
-  return UnaryFromGrad(a, y, [y]() {
+  return UnaryFromGrad("autograd/backward/sqrt", a, y, [y]() {
     return Div(Tensor::Full(y.shape(), 0.5f), y);
   });
 }
 
 Variable Square(const Variable& a) {
   Tensor x = a.value();
-  return UnaryFromGrad(a, Square(x), [x]() { return MulScalar(x, 2.0f); });
+  return UnaryFromGrad("autograd/backward/square", a, Square(x),
+                       [x]() { return MulScalar(x, 2.0f); });
 }
 
 Variable Abs(const Variable& a) {
   Tensor x = a.value();
-  return UnaryFromGrad(a, Abs(x), [x]() { return Sign(x); });
+  return UnaryFromGrad("autograd/backward/abs", a, Abs(x),
+                       [x]() { return Sign(x); });
 }
 
 Variable Relu(const Variable& a) {
   Tensor x = a.value();
-  return UnaryFromGrad(a, Relu(x), [x]() {
+  return UnaryFromGrad("autograd/backward/relu", a, Relu(x), [x]() {
     return Greater(x, Tensor::Zeros({}));
   });
 }
 
 Variable Gelu(const Variable& a) {
   Tensor x = a.value();
-  return UnaryFromGrad(a, Gelu(x), [x]() { return GeluGrad(x); });
+  return UnaryFromGrad("autograd/backward/gelu", a, Gelu(x),
+                       [x]() { return GeluGrad(x); });
 }
 
 Variable Sigmoid(const Variable& a) {
   Tensor y = Sigmoid(a.value());
-  return UnaryFromGrad(a, y, [y]() {
+  return UnaryFromGrad("autograd/backward/sigmoid", a, y, [y]() {
     return Mul(y, Sub(Tensor::Ones(y.shape()), y));
   });
 }
 
 Variable Tanh(const Variable& a) {
   Tensor y = Tanh(a.value());
-  return UnaryFromGrad(a, y, [y]() {
+  return UnaryFromGrad("autograd/backward/tanh", a, y, [y]() {
     return Sub(Tensor::Ones(y.shape()), Square(y));
   });
 }
 
+namespace {
+
+// dA = G B^T and dB = A^T G for a product with output gradient g, each
+// built only when its operand takes gradients. A shared rank-2 B (every
+// Linear) gets its dB from one row-chunked weight-gradient GEMM over all
+// leading rows; a truly batched B (attention) multiplies per batch and
+// AccumulateGrad reduces any broadcast batch dims.
+void MatMulBackward(AutogradNode& na, AutogradNode& nb, const Tensor& g) {
+  if (na.requires_grad) {
+    AccumulateGrad(na, MatMul(g, Transpose(nb.value, -1, -2)));
+  }
+  if (!nb.requires_grad) return;
+  if (nb.value.rank() == 2) {
+    AccumulateGrad(nb, MatMulWeightGrad(na.value, g));
+  } else {
+    AccumulateGrad(nb, MatMul(Transpose(na.value, -1, -2), g));
+  }
+}
+
+}  // namespace
+
 Variable MatMul(const Variable& a, const Variable& b) {
   NodePtr na = a.node();
   NodePtr nb = b.node();
-  return MakeOp(
-      MatMul(a.value(), b.value()), {na, nb}, [na, nb](AutogradNode& self) {
-        // dA = G B^T ; dB = A^T G (AccumulateGrad reduces broadcast batches).
-        AccumulateGrad(*na, MatMul(self.grad, Transpose(nb->value, -1, -2)));
-        AccumulateGrad(*nb, MatMul(Transpose(na->value, -1, -2), self.grad));
-      });
+  return MakeOp("autograd/backward/matmul", MatMul(a.value(), b.value()),
+                {na, nb}, [na, nb](AutogradNode& self) {
+                  MatMulBackward(*na, *nb, self.grad);
+                });
 }
 
 Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
@@ -210,7 +243,7 @@ Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
   std::vector<NodePtr> parents = {na, nb};
   if (nbias != nullptr) parents.push_back(nbias);
   return MakeOp(
-      std::move(value), std::move(parents),
+      "autograd/backward/matmul_ex", std::move(value), std::move(parents),
       [na, nb, nbias, act, pre](AutogradNode& self) {
         // dz: gradient at the pre-activation, shared by all three inputs.
         // The derivative expressions mirror the standalone Relu/Gelu/
@@ -235,9 +268,9 @@ Variable MatMulEx(const Variable& a, const Variable& b, const Variable& bias,
             dz = Mul(self.grad, Mul(y, Sub(Tensor::Ones(y.shape()), y)));
             break;
         }
-        AccumulateGrad(*na, MatMul(dz, Transpose(nb->value, -1, -2)));
-        AccumulateGrad(*nb, MatMul(Transpose(na->value, -1, -2), dz));
-        // AccumulateGrad reduces dz over every leading dim down to [n].
+        MatMulBackward(*na, *nb, dz);
+        // AccumulateGrad reduces dz over every leading dim down to [n]
+        // (SumInto's prefix path).
         if (nbias != nullptr) AccumulateGrad(*nbias, dz);
       });
 }
@@ -251,12 +284,17 @@ Variable Conv2d(const Variable& input, const Variable& kernel, int64_t stride,
   const int64_t width = input.dim(3);
   const int64_t kh = kernel.dim(2);
   const int64_t kw = kernel.dim(3);
-  return MakeOp(Conv2d(input.value(), kernel.value(), spec), {ni, nk},
+  return MakeOp("autograd/backward/conv2d",
+                Conv2d(input.value(), kernel.value(), spec), {ni, nk},
                 [ni, nk, spec, height, width, kh, kw](AutogradNode& self) {
-                  AccumulateGrad(*ni, Conv2dInputGrad(self.grad, nk->value,
-                                                      height, width, spec));
-                  AccumulateGrad(*nk, Conv2dKernelGrad(ni->value, self.grad,
-                                                       kh, kw, spec));
+                  if (ni->requires_grad) {
+                    AccumulateGrad(*ni, Conv2dInputGrad(self.grad, nk->value,
+                                                        height, width, spec));
+                  }
+                  if (nk->requires_grad) {
+                    AccumulateGrad(*nk, Conv2dKernelGrad(ni->value, self.grad,
+                                                         kh, kw, spec));
+                  }
                 });
 }
 
@@ -267,7 +305,7 @@ Variable Sum(const Variable& a, std::vector<int64_t> dims, bool keepdim) {
   for (int64_t d : dims) {
     keep_shape[static_cast<size_t>(NormalizeDim(d, a.rank()))] = 1;
   }
-  return MakeOp(Sum(a.value(), dims, keepdim), {na},
+  return MakeOp("autograd/backward/sum", Sum(a.value(), dims, keepdim), {na},
                 [na, in_shape, keep_shape](AutogradNode& self) {
                   Tensor g = self.grad.Reshape(keep_shape);
                   AccumulateGrad(*na, ExpandTo(g, in_shape));
@@ -285,7 +323,7 @@ Variable Mean(const Variable& a, std::vector<int64_t> dims, bool keepdim) {
 Variable SumAll(const Variable& a) {
   NodePtr na = a.node();
   const Shape in_shape = a.shape();
-  return MakeOp(SumAll(a.value()), {na},
+  return MakeOp("autograd/backward/sum_all", SumAll(a.value()), {na},
                 [na, in_shape](AutogradNode& self) {
                   AccumulateGrad(*na,
                                  Tensor::Full(in_shape, self.grad.item()));
@@ -300,7 +338,8 @@ Variable MeanAll(const Variable& a) {
 Variable Reshape(const Variable& a, Shape new_shape) {
   NodePtr na = a.node();
   const Shape in_shape = a.shape();
-  return MakeOp(a.value().Reshape(std::move(new_shape)), {na},
+  return MakeOp("autograd/backward/reshape",
+                a.value().Reshape(std::move(new_shape)), {na},
                 [na, in_shape](AutogradNode& self) {
                   AccumulateGrad(*na, self.grad.Reshape(in_shape));
                 });
@@ -313,7 +352,7 @@ Variable Permute(const Variable& a, std::vector<int64_t> perm) {
   for (int64_t i = 0; i < rank; ++i) {
     inverse[static_cast<size_t>(NormalizeDim(perm[static_cast<size_t>(i)], rank))] = i;
   }
-  return MakeOp(Permute(a.value(), perm), {na},
+  return MakeOp("autograd/backward/permute", Permute(a.value(), perm), {na},
                 [na, inverse](AutogradNode& self) {
                   AccumulateGrad(*na, Permute(self.grad, inverse));
                 });
@@ -336,7 +375,8 @@ Variable Slice(const Variable& a, int64_t dim, int64_t start, int64_t length) {
   NodePtr na = a.node();
   const int64_t norm_dim = NormalizeDim(dim, a.rank());
   const int64_t in_dim = a.dim(norm_dim);
-  return MakeOp(Slice(a.value(), dim, start, length), {na},
+  return MakeOp("autograd/backward/slice",
+                Slice(a.value(), dim, start, length), {na},
                 [na, norm_dim, start, length, in_dim](AutogradNode& self) {
                   AccumulateGrad(*na, Pad(self.grad, norm_dim, start,
                                           in_dim - start - length, 0.0f));
@@ -357,12 +397,14 @@ Variable Concat(const std::vector<Variable>& parts, int64_t dim) {
   std::vector<int64_t> sizes;
   sizes.reserve(parts.size());
   for (const Variable& p : parts) sizes.push_back(p.dim(norm_dim));
-  return MakeOp(Concat(tensors, dim), nodes,
+  return MakeOp("autograd/backward/concat", Concat(tensors, dim), nodes,
                 [nodes, sizes, norm_dim](AutogradNode& self) {
                   int64_t offset = 0;
                   for (size_t i = 0; i < nodes.size(); ++i) {
-                    AccumulateGrad(*nodes[i], Slice(self.grad, norm_dim,
-                                                    offset, sizes[i]));
+                    if (nodes[i]->requires_grad) {
+                      AccumulateGrad(*nodes[i], Slice(self.grad, norm_dim,
+                                                      offset, sizes[i]));
+                    }
                     offset += sizes[i];
                   }
                 });
@@ -373,7 +415,8 @@ Variable Pad(const Variable& a, int64_t dim, int64_t before, int64_t after,
   NodePtr na = a.node();
   const int64_t norm_dim = NormalizeDim(dim, a.rank());
   const int64_t in_dim = a.dim(norm_dim);
-  return MakeOp(Pad(a.value(), dim, before, after, value), {na},
+  return MakeOp("autograd/backward/pad",
+                Pad(a.value(), dim, before, after, value), {na},
                 [na, norm_dim, before, in_dim](AutogradNode& self) {
                   AccumulateGrad(*na,
                                  Slice(self.grad, norm_dim, before, in_dim));
@@ -384,12 +427,13 @@ Variable Softmax(const Variable& a, int64_t dim) {
   NodePtr na = a.node();
   const int64_t norm_dim = NormalizeDim(dim, a.rank());
   Tensor y = Softmax(a.value(), norm_dim);
-  return MakeOp(y, {na}, [na, y, norm_dim](AutogradNode& self) {
-    // dx = y * (g - sum(g * y, dim))
-    Tensor gy = Mul(self.grad, y);
-    Tensor s = Sum(gy, {norm_dim}, /*keepdim=*/true);
-    AccumulateGrad(*na, Mul(y, Sub(self.grad, s)));
-  });
+  return MakeOp("autograd/backward/softmax", y, {na},
+                [na, y, norm_dim](AutogradNode& self) {
+                  // dx = y * (g - sum(g * y, dim))
+                  Tensor gy = Mul(self.grad, y);
+                  Tensor s = Sum(gy, {norm_dim}, /*keepdim=*/true);
+                  AccumulateGrad(*na, Mul(y, Sub(self.grad, s)));
+                });
 }
 
 Variable LogSoftmax(const Variable& a, int64_t dim) {
@@ -401,11 +445,12 @@ Variable LogSoftmax(const Variable& a, int64_t dim) {
   Tensor shifted = Sub(x, mx);
   Tensor logz = Log(Sum(Exp(shifted), {norm_dim}, /*keepdim=*/true));
   Tensor y = Sub(shifted, logz);
-  return MakeOp(y, {na}, [na, y, norm_dim](AutogradNode& self) {
-    // dx = g - softmax(x) * sum(g, dim)
-    Tensor s = Sum(self.grad, {norm_dim}, /*keepdim=*/true);
-    AccumulateGrad(*na, Sub(self.grad, Mul(Exp(y), s)));
-  });
+  return MakeOp("autograd/backward/log_softmax", y, {na},
+                [na, y, norm_dim](AutogradNode& self) {
+                  // dx = g - softmax(x) * sum(g, dim)
+                  Tensor s = Sum(self.grad, {norm_dim}, /*keepdim=*/true);
+                  AccumulateGrad(*na, Sub(self.grad, Mul(Exp(y), s)));
+                });
 }
 
 }  // namespace msd

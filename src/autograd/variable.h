@@ -31,6 +31,9 @@ struct AutogradNode {
   // Reads this->grad and accumulates into parents' grads. Null for leaves
   // and for nodes created under NoGradGuard.
   std::function<void(AutogradNode&)> backward_fn;
+  // Span label of this node's backward closure, "autograd/backward/<op>"
+  // (a string literal set by the op that recorded it; null for leaves).
+  const char* kind = nullptr;
 #if MSD_DEBUG_CHECKS_ENABLED
   // Tape-linter state (debug-checks builds only; the flag is set globally by
   // CMake so every translation unit agrees on this layout). `debug_swept`

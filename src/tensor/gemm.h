@@ -45,6 +45,22 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 void EpilogueBiasAct(float* c, float* pre, int64_t rows, int64_t n,
                      const float* bias, Activation act);
 
+// Weight gradient of a shared-weight product: C[k,n] = A^T @ G, where A is
+// [rows, k] and G is [rows, n], both row-major — every leading row of a
+// rank-N Linear input flattened. `c` may be uninitialized.
+//
+// Rows split into fixed chunks (runtime::NumChunks over `rows` at a fixed
+// row grain); each chunk packs its A^T panels straight from row-major A and
+// its G panels into thread-local pack scratch, runs the micro-kernel into
+// its own [k,n] partial (chunk 0 writes `c` itself), and the partials fold
+// in ParallelReduce's fixed-order tree over chunk indices. Every element
+// therefore sums its rows in an order fixed by `rows` alone: bit-identical
+// for any MSD_THREADS value. The partials buffer is taken before the
+// parallel region; the region itself allocates nothing beyond each
+// worker's grow-only pack scratch.
+void GemmWeightGrad(const float* a, const float* g, float* c, int64_t rows,
+                    int64_t k, int64_t n);
+
 // Split form for batched products that reuse one B: pack once, multiply
 // many. `packed` must hold PackedBPanelFloats(k, n) floats.
 int64_t PackedBPanelFloats(int64_t k, int64_t n);

@@ -568,6 +568,36 @@ void MatMulExPrepackedInto(const Tensor& a, const Tensor& b_packed, int64_t k,
                       act, nullptr);
 }
 
+Tensor MatMulWeightGrad(const Tensor& a, const Tensor& g) {
+  MSD_SPAN("tensor/matmul_weight_grad");
+  MSD_DEBUG_VALIDATE_TENSOR(a, "MatMulWeightGrad");
+  MSD_DEBUG_VALIDATE_TENSOR(g, "MatMulWeightGrad");
+  MSD_CHECK_GE(a.rank(), 2);
+  MSD_CHECK_EQ(g.rank(), a.rank())
+      << "MatMulWeightGrad operands: " << ShapeToString(a.shape()) << " / "
+      << ShapeToString(g.shape());
+  int64_t rows = 1;
+  for (int64_t i = 0; i + 1 < a.rank(); ++i) {
+    MSD_CHECK_EQ(a.dim(i), g.dim(i))
+        << "MatMulWeightGrad leading dims mismatch: "
+        << ShapeToString(a.shape()) << " / " << ShapeToString(g.shape());
+    rows *= a.dim(i);
+  }
+  const int64_t k = a.dim(-1);
+  const int64_t n = g.dim(-1);
+  static obs::Counter& matmul_calls =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_calls");
+  static obs::Counter& matmul_flops =
+      obs::MetricsRegistry::Global().GetCounter("tensor/matmul_flops");
+  matmul_calls.Add(1);
+  matmul_flops.Add(2 * rows * k * n);
+  // Backward-only: a replayed plan never differentiates.
+  if (optrace::Active()) optrace::RecordUnsupported("MatMulWeightGrad");
+  Tensor out = Tensor::Uninitialized({k, n});
+  gemm::GemmWeightGrad(a.data(), g.data(), out.data(), rows, k, n);
+  return out;
+}
+
 Tensor SumAll(const Tensor& a) {
   if (optrace::Active()) optrace::RecordUnsupported("SumAll");
   const float* p = a.data();
@@ -601,6 +631,10 @@ float MaxAbs(const Tensor& a) {
       },
       [](float x, float y) { return std::max(x, y); });
 }
+
+// Minimum kept columns per chunk of SumInto's prefix path (bias gradients:
+// kept = n features, reduced = every row).
+constexpr int64_t kPrefixColumnGrain = 64;
 
 // msd-hot-path-safe: same contract as AddInto. `dims` arrives pre-normalized
 // (sorted, deduped, non-negative, non-empty); `out` holds the kept elements
@@ -637,9 +671,12 @@ void SumInto(const Tensor& a, const std::vector<int64_t>& dims, Tensor& out) {
     const int64_t kept = a.numel() / std::max<int64_t>(1, reduced);
     if (is_prefix) {
       // Sum `reduced` stacked blocks of length `kept`; r ascends innermost
-      // per output element, matching the serial block order.
+      // per output element, matching the serial block order. Chunks span at
+      // least kPrefixColumnGrain columns, so each row visit is a contiguous
+      // vector run instead of a one-column strided walk.
       std::fill(po, po + kept, 0.0f);
-      runtime::ParallelFor(0, kept, GrainForWork(reduced),
+      runtime::ParallelFor(0, kept,
+                           std::max(kPrefixColumnGrain, GrainForWork(reduced)),
                            [&](int64_t cb, int64_t ce) {
         for (int64_t r = 0; r < reduced; ++r) {
           const float* block = pa + r * kept;

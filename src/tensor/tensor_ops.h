@@ -77,6 +77,15 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulEx(const Tensor& a, const Tensor& b, const Tensor& bias,
                 gemm::Activation act, Tensor* pre_out = nullptr);
 
+// Weight gradient of a shared rank-2 operand: for a [..., m, k] and the
+// output gradient g [..., m, n] (same leading dims), returns the [k, n] sum
+// over every leading row of a^T @ g — what MatMul(Transpose(a, -1, -2), g)
+// reduced over its batch dims computes, as one row-chunked GEMM with no
+// transposed copy and no per-batch intermediate (gemm::GemmWeightGrad).
+// Bit-identical for any MSD_THREADS value; counts one tensor/matmul_calls
+// and 2*rows*k*n tensor/matmul_flops.
+Tensor MatMulWeightGrad(const Tensor& a, const Tensor& g);
+
 // ---- Reductions ------------------------------------------------------------
 // Scalar (rank-0) total.
 Tensor SumAll(const Tensor& a);

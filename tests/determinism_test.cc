@@ -150,30 +150,42 @@ TEST(DeterminismTest, BatchedAndFusedMatMulBitIdentical) {
 }
 
 TEST(DeterminismTest, FusedEpilogueGradientsBitIdentical) {
-  Rng rng(31);
-  Tensor at = Tensor::RandNormal({4, 12, 20}, 0, 1, rng);
-  Tensor wt = Tensor::RandNormal({20, 8}, 0, 1, rng);
-  Tensor biast = Tensor::RandNormal({8}, 0, 1, rng);
+  // Shared-weight Linear inputs. 48 rows fit one row chunk of the
+  // weight-gradient GEMM; the rank-4 MSD-Mixer MLP shape has 2037 rows
+  // (3*7*97), eight chunks and no multiple of the 256-row grain, so the
+  // partial-fold tree runs; the last shape adds k past one 64-row block.
+  struct Case {
+    Shape a;
+    int64_t n;
+  };
+  const Case cases[] = {
+      {{4, 12, 20}, 8}, {{3, 7, 97, 7}, 32}, {{2, 3, 50, 70}, 9}};
   const gemm::Activation acts[] = {
       gemm::Activation::kIdentity, gemm::Activation::kRelu,
       gemm::Activation::kGelu, gemm::Activation::kTanh,
       gemm::Activation::kSigmoid};
-  for (gemm::Activation act : acts) {
-    std::vector<Tensor> da, dw, dbias;
-    for (int64_t threads : kThreadCounts) {
-      runtime::ScopedThreads scoped(threads);
-      Variable a(at, /*requires_grad=*/true);
-      Variable w(wt, /*requires_grad=*/true);
-      Variable bias(biast, /*requires_grad=*/true);
-      MeanAll(Square(MatMulEx(a, w, bias, act))).Backward();
-      da.push_back(a.grad().Clone());
-      dw.push_back(w.grad().Clone());
-      dbias.push_back(bias.grad().Clone());
-    }
-    for (size_t k = 1; k < da.size(); ++k) {
-      ExpectBitIdentical(da[0], da[k], "MatMulEx grad a");
-      ExpectBitIdentical(dw[0], dw[k], "MatMulEx grad b");
-      ExpectBitIdentical(dbias[0], dbias[k], "MatMulEx grad bias");
+  Rng rng(31);
+  for (const Case& c : cases) {
+    Tensor at = Tensor::RandNormal(c.a, 0, 1, rng);
+    Tensor wt = Tensor::RandNormal({c.a.back(), c.n}, 0, 0.3f, rng);
+    Tensor biast = Tensor::RandNormal({c.n}, 0, 1, rng);
+    for (gemm::Activation act : acts) {
+      std::vector<Tensor> da, dw, dbias;
+      for (int64_t threads : kThreadCounts) {
+        runtime::ScopedThreads scoped(threads);
+        Variable a(at, /*requires_grad=*/true);
+        Variable w(wt, /*requires_grad=*/true);
+        Variable bias(biast, /*requires_grad=*/true);
+        MeanAll(Square(MatMulEx(a, w, bias, act))).Backward();
+        da.push_back(a.grad().Clone());
+        dw.push_back(w.grad().Clone());
+        dbias.push_back(bias.grad().Clone());
+      }
+      for (size_t k = 1; k < da.size(); ++k) {
+        ExpectBitIdentical(da[0], da[k], "MatMulEx grad a");
+        ExpectBitIdentical(dw[0], dw[k], "MatMulEx grad b");
+        ExpectBitIdentical(dbias[0], dbias[k], "MatMulEx grad bias");
+      }
     }
   }
 }

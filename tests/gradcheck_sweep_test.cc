@@ -290,6 +290,27 @@ void AddOpCases(std::vector<SweepCase>* cases) {
         },
         Uniform({2, 2, 3}, -1.0f, 1.0f, 2073), 2074);
   });
+  add("MatMulEx_rank4_gelu_rhs", [] {
+    // Rank-4 lhs against a shared rank-2 weight (the MSD-Mixer MLP shape):
+    // the weight gradient sums every leading row in one reduction GEMM.
+    const Variable a(Uniform({2, 2, 3, 3}, -1.0f, 1.0f, 2081));
+    const Variable bias(Uniform({4}, -1.0f, 1.0f, 2082));
+    return CheckScalarized(
+        [&](const Variable& x) {
+          return MatMulEx(a, x, bias, gemm::Activation::kGelu);
+        },
+        Uniform({3, 4}, -1.0f, 1.0f, 2083), 2084);
+  });
+  add("MatMulEx_rank4_gelu_bias", [] {
+    // Same shapes, bias slot: dz reduced over three leading dims and rows.
+    const Variable a(Uniform({2, 2, 3, 3}, -1.0f, 1.0f, 2091));
+    const Variable b(Uniform({3, 4}, -1.0f, 1.0f, 2092));
+    return CheckScalarized(
+        [&](const Variable& x) {
+          return MatMulEx(a, b, x, gemm::Activation::kGelu);
+        },
+        Uniform({4}, -1.0f, 1.0f, 2093), 2094);
+  });
   add("Conv2d_input", [] {
     const Variable k(Uniform({3, 2, 3, 3}, -0.5f, 0.5f, 281));
     return CheckScalarized(

@@ -2,12 +2,15 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "runtime/parallel.h"
 #include "tensor/tensor_ops.h"
 
 namespace msd {
@@ -270,7 +273,100 @@ TEST(TensorOpsTest, MatMulExBiasShapeMismatchDies) {
   EXPECT_DEATH(MatMulEx(a, b, bias, gemm::Activation::kIdentity), "bias");
 }
 
+// Double-precision A^T @ G over every leading row, the definition
+// MatMulWeightGrad must agree with up to float rounding.
+std::vector<double> WeightGradReference(const Tensor& a, const Tensor& g) {
+  const int64_t k = a.dim(-1);
+  const int64_t n = g.dim(-1);
+  const int64_t rows = k == 0 ? 0 : a.numel() / k;
+  std::vector<double> ref(static_cast<size_t>(k * n), 0.0);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t i = 0; i < k; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        ref[static_cast<size_t>(i * n + j)] +=
+            static_cast<double>(a.data()[r * k + i]) * g.data()[r * n + j];
+      }
+    }
+  }
+  return ref;
+}
+
+TEST(TensorOpsTest, MatMulWeightGradMatchesReference) {
+  // Rows from none to several chunks (2037 = 3*7*97 is no multiple of the
+  // 256-row grain; 1400 puts more than one 256-row slice in each chunk),
+  // k past one 64-row block of C, and k/n tails under the 8x8 tile.
+  struct Case {
+    Shape a;
+    int64_t n;
+  };
+  const Case cases[] = {{{5, 3}, 4},
+                        {{3, 7, 97, 7}, 32},
+                        {{2, 700, 70}, 9},
+                        {{2, 3, 11, 130}, 17},
+                        {{2, 0, 5}, 3}};
+  Rng rng(41);
+  for (const Case& c : cases) {
+    Tensor a = Tensor::RandNormal(c.a, 0, 1, rng);
+    Shape g_shape = c.a;
+    g_shape.back() = c.n;
+    Tensor g = Tensor::RandNormal(g_shape, 0, 1, rng);
+    Tensor dw = MatMulWeightGrad(a, g);
+    ASSERT_EQ(dw.shape(), (Shape{c.a.back(), c.n}));
+    const std::vector<double> ref = WeightGradReference(a, g);
+    const double tol = 1e-5 * std::sqrt(static_cast<double>(a.numel()));
+    for (int64_t e = 0; e < dw.numel(); ++e) {
+      ASSERT_NEAR(dw.data()[e], ref[static_cast<size_t>(e)], tol)
+          << ShapeToString(c.a) << " x " << c.n << " element " << e;
+    }
+  }
+}
+
+TEST(TensorOpsTest, MatMulWeightGradCountsOneCallAndItsFlops) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& calls = registry.GetCounter("tensor/matmul_calls");
+  obs::Counter& flops = registry.GetCounter("tensor/matmul_flops");
+  const int64_t calls0 = calls.value();
+  const int64_t flops0 = flops.value();
+  MatMulWeightGrad(Tensor::Ones({3, 5, 4}), Tensor::Ones({3, 5, 6}));
+  EXPECT_EQ(calls.value() - calls0, 1);
+  EXPECT_EQ(flops.value() - flops0, 2 * 15 * 4 * 6);
+}
+
+TEST(TensorOpsTest, MatMulWeightGradLeadingDimMismatchDies) {
+  EXPECT_DEATH(MatMulWeightGrad(Tensor::Zeros({2, 3, 4}),
+                                Tensor::Zeros({3, 2, 5})),
+               "leading dims mismatch");
+}
+
 // ---- Reductions --------------------------------------------------------------
+
+TEST(TensorOpsTest, PrefixSumMatchesSerialAscendingReference) {
+  // SumInto's prefix path (bias gradients) parallelizes over kept columns
+  // only, so each output must equal the serial r-ascending sum bit for bit
+  // at every pool size, for kept widths below, at and past its column grain.
+  const int64_t kept_widths[] = {1, 7, 32, 65};
+  Rng rng(43);
+  for (int64_t kept : kept_widths) {
+    Tensor a = Tensor::RandNormal({3, 5, 701, kept}, 0, 10, rng);
+    const int64_t reduced = 3 * 5 * 701;
+    std::vector<float> ref(static_cast<size_t>(kept), 0.0f);
+    for (int64_t r = 0; r < reduced; ++r) {
+      for (int64_t i = 0; i < kept; ++i) {
+        ref[static_cast<size_t>(i)] += a.data()[r * kept + i];
+      }
+    }
+    for (int64_t threads : {1, 2, 8}) {
+      runtime::ScopedThreads scoped(threads);
+      Tensor out = Sum(a, {0, 1, 2}, /*keepdim=*/false);
+      ASSERT_EQ(out.numel(), kept);
+      EXPECT_EQ(std::memcmp(out.data(), ref.data(),
+                            static_cast<size_t>(kept) * sizeof(float)),
+                0)
+          << "kept " << kept << " at " << threads << " threads";
+    }
+  }
+}
+
 
 TEST(TensorOpsTest, SumAllAndMeanAll) {
   Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});

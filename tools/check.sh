@@ -49,7 +49,7 @@
 #                 a real multi-threaded pool under the race detector.
 #
 # Usage: tools/check.sh [--tidy] [--jobs N] [--leg NAME]...
-#        [--bench-baseline FILE] [--serve-baseline FILE]
+#        [--bench-baseline FILE] [--bench-parent REV] [--serve-baseline FILE]
 #   --tidy     also run clang-tidy (src/common + src/tensor); skipped with a
 #              note when clang-tidy is not installed.
 #   --leg      run only the named leg(s); default is all five.
@@ -72,6 +72,18 @@
 #              command the gate uses — read it out of the release leg below,
 #              or crib the filter from a check.sh run's log — with
 #              --benchmark_out=BENCH_baseline.json from a Release ./build.
+#   --bench-parent REV
+#              after the release leg, build REV's bench_micro_kernels in a
+#              temporary git worktree under build-check/bench-parent/ (its
+#              build tree stays there for the next run; the worktree is
+#              removed), then run the --bench-baseline filter on a 1-thread
+#              pool in 7 alternating rounds — one repetition of REV's
+#              binary, then one of this tree's — so a slow or fast stretch
+#              of the host lands on both sides. Each side's rounds merge
+#              into one google-benchmark file (python3) and the two are
+#              gated with tools/bench_compare by median at the same 10%
+#              threshold. Needs no recorded baseline, so it works on any
+#              host; benches REV lacks are listed, not gated.
 #   --serve-baseline FILE
 #              gate the release leg's BENCH_serve.json serving snapshot
 #              against FILE with tools/bench_compare. Tail latency is noisier
@@ -90,6 +102,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 RUN_TIDY=0
 BENCH_BASELINE=""
+BENCH_PARENT=""
 SERVE_BASELINE=""
 LEGS=()
 
@@ -99,6 +112,7 @@ while [[ $# -gt 0 ]]; do
     --jobs) JOBS="$2"; shift ;;
     --leg) LEGS+=("$2"); shift ;;
     --bench-baseline) BENCH_BASELINE="$2"; shift ;;
+    --bench-parent) BENCH_PARENT="$2"; shift ;;
     --serve-baseline) SERVE_BASELINE="$2"; shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
@@ -114,6 +128,81 @@ declare -A DETAIL    # leg -> one-line explanation
 FAILED=0
 
 note() { printf '\n==== %s ====\n' "$*"; }
+
+# The gated kernel-bench filter: kernel benches (GEMM family, fused
+# epilogues, Linear backward, rfft) plus the whole-model benches, with
+# thread-scaling variants above the machine's core count excluded — with
+# more threads than cores their runtime is the scheduler's time-slicing
+# pattern, not kernel code, and on a 1-core box BM_*Threads/4 swings 15%+
+# between identical runs.
+kernel_bench_filter() {
+  local cores tsuf
+  cores="$(nproc)"
+  if   (( cores >= 4 )); then tsuf='/(1|2|4)'
+  elif (( cores >= 2 )); then tsuf='/(1|2)'
+  else                        tsuf='/1'; fi
+  echo "BM_MatMul2D|BM_BatchedMatMul|BM_LinearBackward|BM_Fft|BM_Rfft/|BM_MixerInference|BM_MixerTrainStep|BM_TrainerEpoch|(BM_GemmChannelMixThreads|BM_GemmHeadThreads|BM_GemmPatchEmbedThreads|BM_RfftThreads)${tsuf}\$"
+}
+
+# Parent-relative kernel gate (--bench-parent): builds REV's
+# bench_micro_kernels from a temporary worktree, runs both binaries in
+# alternating rounds, merges each side's rounds and gates the medians.
+bench_parent_gate() {  # rev current-bench-binary
+  local rev="$1" current_bin="$2"
+  local dir="${CHECK_DIR}/bench-parent"
+  local src="${dir}/src" build="${dir}/build"
+  local filter rounds=7 round side
+  filter="$(kernel_bench_filter)"
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "--bench-parent needs python3 to merge rounds" >&2; return 1
+  fi
+  mkdir -p "${dir}"
+  git -C "${ROOT}" worktree remove --force "${src}" >/dev/null 2>&1
+  rm -rf "${src}"
+  git -C "${ROOT}" worktree prune
+  if ! git -C "${ROOT}" worktree add --detach "${src}" "${rev}"; then
+    echo "cannot check out ${rev}" >&2; return 1
+  fi
+  local built=0
+  if cmake -B "${build}" -S "${src}" >/dev/null &&
+      cmake --build "${build}" -j "${JOBS}" --target bench_micro_kernels; then
+    built=1
+  fi
+  git -C "${ROOT}" worktree remove --force "${src}"
+  (( built )) || { echo "building ${rev}'s benches failed" >&2; return 1; }
+  rm -f "${dir}"/round-*
+  for (( round = 1; round <= rounds; ++round )); do
+    for side in parent current; do
+      local bin="${build}/bench/bench_micro_kernels"
+      [[ "${side}" == "current" ]] && bin="${current_bin}"
+      local log="${dir}/round-${side}-${round}.log"
+      if ! "${bin}" --threads 1 --benchmark_filter="${filter}" \
+          --benchmark_min_time=0.05 --benchmark_repetitions=1 \
+          --benchmark_out="${dir}/round-${side}-${round}.json" \
+          --benchmark_out_format=json > "${log}" 2>&1; then
+        cat "${log}" >&2; return 1
+      fi
+    done
+  done
+  for side in parent current; do
+    python3 - "${dir}/${side}.json" "${dir}"/round-"${side}"-*.json <<'PY' ||
+import json, sys
+merged = None
+for path in sys.argv[2:]:
+    with open(path) as f:
+        doc = json.load(f)
+    if merged is None:
+        merged = doc
+    else:
+        merged["benchmarks"].extend(doc["benchmarks"])
+with open(sys.argv[1], "w") as f:
+    json.dump(merged, f)
+PY
+      return 1
+  done
+  "${CHECK_DIR}/release/tools/bench_compare" \
+      "${dir}/parent.json" "${dir}/current.json" --repetitions "${rounds}"
+}
 
 fail_leg() {  # leg detail
   STATUS[$1]="FAIL"
@@ -339,26 +428,19 @@ for leg in "${LEGS[@]}"; do
         fi
       fi
       if [[ "${STATUS[release]}" == "PASS" && -n "${BENCH_BASELINE}" ]]; then
-        # Perf gate: the kernel benches (GEMM family, fused epilogues, rfft)
-        # plus the whole-model benches (planned-free inference forward, one
-        # train step, one trainer epoch) against the committed baseline;
-        # >10% median cpu_time growth fails. The run uses a 1-thread global
-        # pool (--threads 1), so cpu_time is the whole work of every bench
+        # Perf gate: the kernel benches (GEMM family, fused epilogues,
+        # Linear backward, rfft) plus the whole-model benches (planned-free
+        # inference forward, one train step, one trainer epoch) against the
+        # committed baseline; >10% median cpu_time growth fails. The run
+        # uses a 1-thread global pool (--threads 1), so cpu_time is the whole work of every bench
         # that does not pin its own pool size (BM_*Threads/N do) rather than
         # the calling thread's share of it. 7 repetitions, medians compared,
         # so a burst of descheduled repetitions cannot fake (or mask) a
         # regression; bench_compare also refuses either file if its context
-        # is not stamped msd_build_type=release. Thread-scaling variants
-        # above the machine's core count are excluded: with more threads
-        # than cores their runtime is the scheduler's time-slicing pattern,
-        # not kernel code, and on a 1-core box BM_*Threads/4 swings 15%+
-        # between identical runs.
+        # is not stamped msd_build_type=release. kernel_bench_filter (top
+        # of file) drops thread-scaling variants above the core count.
         note "leg release: bench_compare vs ${BENCH_BASELINE}"
-        cores="$(nproc)"
-        if   (( cores >= 4 )); then tsuf='/(1|2|4)'
-        elif (( cores >= 2 )); then tsuf='/(1|2)'
-        else                        tsuf='/1'; fi
-        kernel_filter="BM_MatMul2D|BM_BatchedMatMul|BM_Fft|BM_Rfft/|BM_MixerInference|BM_MixerTrainStep|BM_TrainerEpoch|(BM_GemmChannelMixThreads|BM_GemmHeadThreads|BM_GemmPatchEmbedThreads|BM_RfftThreads)${tsuf}\$"
+        kernel_filter="$(kernel_bench_filter)"
         current="${CHECK_DIR}/release/BENCH_current.json"
         if "${CHECK_DIR}/release/bench/bench_micro_kernels" --threads 1 \
               --benchmark_filter="${kernel_filter}" \
@@ -369,6 +451,18 @@ for leg in "${LEGS[@]}"; do
           DETAIL[release]="${DETAIL[release]}; bench within baseline"
         else
           fail_leg release "bench regression vs ${BENCH_BASELINE}"
+        fi
+      fi
+      if [[ "${STATUS[release]}" == "PASS" && -n "${BENCH_PARENT}" ]]; then
+        # Perf gate against a revision instead of a recorded file: both
+        # trees' benches run on this host in alternating rounds, so a
+        # baseline recorded on other hardware cannot fail untouched code.
+        note "leg release: bench_compare vs ${BENCH_PARENT} (alternating)"
+        if bench_parent_gate "${BENCH_PARENT}" \
+            "${CHECK_DIR}/release/bench/bench_micro_kernels"; then
+          DETAIL[release]="${DETAIL[release]}; bench within ${BENCH_PARENT}"
+        else
+          fail_leg release "bench regression vs ${BENCH_PARENT}"
         fi
       fi
       ;;
